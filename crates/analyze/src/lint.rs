@@ -3,7 +3,7 @@
 //! No parser dependency: the linter runs on [`crate::scanner`]'s
 //! blanked view of each source file (comments and string/char literals
 //! spaced out; `#[cfg(test)]` modules excluded via brace tracking) so
-//! rules match real code only. Five rules:
+//! rules match real code only. Six rules:
 //!
 //! 1. **`unwrap-ratchet`** — `.unwrap()` / `.expect(` on the serve and
 //!    sqlengine hot paths (the files in [`HOT_PATHS`]) are counted per
@@ -33,8 +33,17 @@
 //!    build environments through `ShardSet`, so every served domain
 //!    gets a coordinator and scatter wiring — a bare env would
 //!    silently opt a path out of sharding.
+//! 6. **`row-copy-ratchet`** — whole-collection row copies
+//!    (`.rows().to_vec()`, `rows.clone()`, `rows[a..b].to_vec()`,
+//!    `rows.iter()….cloned().collect()`: a `.to_vec()`, `.clone()` or
+//!    `.cloned().collect()` whose receiver chain names `rows` or
+//!    `*_rows`) in the row-path files ([`ROW_COPY_PATHS`]) are counted
+//!    per file and ratcheted (baseline keys carry a `row-copy:` prefix).
+//!    Stored rows flow by reference until an operator creates a row, and
+//!    frames move between semantic operators; a new bulk copy fails the
+//!    build.
 
-use crate::scanner::{blank_ranges, find_all, line_of, scan_source, test_ranges};
+use crate::scanner::{blank_ranges, find_all, group_open, line_of, scan_source, test_ranges};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
@@ -72,6 +81,17 @@ pub const CHUNK_PATHS: &[&str] = &[
 /// Baseline-key prefix distinguishing rule-4 entries from rule-1
 /// entries in the shared ratchet file.
 const ROW_RATCHET_PREFIX: &str = "vec-row:";
+
+/// Row-path files covered by the row-copy ratchet (rule 6): the SQL
+/// executor, the SemPlan runtime, and the data frame it runs on.
+pub const ROW_COPY_PATHS: &[&str] = &[
+    "crates/core/src/semplan.rs",
+    "crates/semops/src/frame.rs",
+    "crates/sqlengine/src/exec.rs",
+];
+
+/// Baseline-key prefix for rule-6 entries.
+const ROW_COPY_PREFIX: &str = "row-copy:";
 
 /// Baseline-key prefix for rule-5 entries. Files absent from the
 /// baseline have an implicit limit of 0, so the rule is a prohibition
@@ -141,6 +161,9 @@ pub struct LintOutcome {
     /// Current `TagEnv::new(` counts per serve-crate file (rule 5).
     /// Only files with a nonzero count appear.
     pub tagenv_counts: BTreeMap<String, usize>,
+    /// Current whole-collection row-copy counts per row-path file
+    /// (rule 6).
+    pub row_copy_counts: BTreeMap<String, usize>,
 }
 
 impl LintOutcome {
@@ -171,6 +194,13 @@ impl LintOutcome {
         for (file, count) in &self.tagenv_counts {
             let _ = writeln!(out, "{TAGENV_RATCHET_PREFIX}{file} {count}");
         }
+        out.push_str(
+            "# row-copy ratchet: non-test whole-collection row copies on the row path\n\
+             # (stored rows are borrowed and frames moved; counts may only go down).\n",
+        );
+        for (file, count) in &self.row_copy_counts {
+            let _ = writeln!(out, "{ROW_COPY_PREFIX}{file} {count}");
+        }
         out
     }
 }
@@ -191,6 +221,80 @@ fn count_row_vecs(code: &str) -> usize {
 /// code (serving must go through `ShardSet`).
 fn count_tagenv_news(code: &str) -> usize {
     find_all(code, "TagEnv::new(").len()
+}
+
+/// Count rule-6 hits: `.to_vec()`, `.clone()`, and `.cloned()` followed
+/// by `.collect`, each only when its receiver chain names a row
+/// collection. Per-row copies (`row.clone()`, `r.to_vec()`) and column
+/// copies (`columns().to_vec()`) are not counted.
+fn count_row_copies(code: &str) -> usize {
+    let names_rows = |dot: usize| {
+        chain_idents(code, dot)
+            .iter()
+            .any(|id| *id == "rows" || id.ends_with("_rows"))
+    };
+    let copies = find_all(code, ".to_vec()")
+        .into_iter()
+        .chain(find_all(code, ".clone()"))
+        .filter(|&dot| names_rows(dot))
+        .count();
+    let collected = find_all(code, ".cloned()")
+        .into_iter()
+        .filter(|&dot| {
+            code[dot + ".cloned()".len()..]
+                .trim_start()
+                .starts_with(".collect")
+        })
+        .filter(|&dot| names_rows(dot))
+        .count();
+    copies + collected
+}
+
+/// The identifiers of the method chain left of the `.` at `dot`, nearest
+/// first: `self.rows.iter().take(n)` gives `take`, `iter`, `rows`,
+/// `self`. Call groups and slices (`[a..b]`) are skipped over; an element
+/// index (`rows[i]`) ends the chain, since what follows it acts on one
+/// element, as does anything that is not a `.` link.
+fn chain_idents(code: &str, dot: usize) -> Vec<&str> {
+    let bytes = code.as_bytes();
+    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let mut out = Vec::new();
+    let mut k = dot;
+    loop {
+        while k > 0 && (bytes[k - 1].is_ascii_whitespace() || bytes[k - 1] == b'?') {
+            k -= 1;
+        }
+        if k == 0 {
+            return out;
+        }
+        match bytes[k - 1] {
+            close @ (b')' | b']') => {
+                let Some(open) = group_open(code, k - 1) else {
+                    return out;
+                };
+                if close == b']' && !code[open..k].contains("..") {
+                    return out;
+                }
+                k = open;
+            }
+            b if is_ident(b) => {
+                let end = k;
+                while k > 0 && is_ident(bytes[k - 1]) {
+                    k -= 1;
+                }
+                out.push(&code[k..end]);
+                let mut m = k;
+                while m > 0 && bytes[m - 1].is_ascii_whitespace() {
+                    m -= 1;
+                }
+                if m == 0 || bytes[m - 1] != b'.' {
+                    return out;
+                }
+                k = m - 1;
+            }
+            _ => return out,
+        }
+    }
 }
 
 /// Rule 3: `.lock()` immediately followed (modulo whitespace) by
@@ -336,6 +440,12 @@ pub fn run_lint(config: &LintConfig, update_ratchet: bool) -> Result<LintOutcome
                 .insert(rel.clone(), count_row_vecs(&code));
         }
 
+        if ROW_COPY_PATHS.contains(&rel.as_str()) {
+            outcome
+                .row_copy_counts
+                .insert(rel.clone(), count_row_copies(&code));
+        }
+
         // Rule 5 covers the whole serve crate (bins included). Only
         // offending files are recorded, so the clean state is an empty
         // map and an empty baseline section.
@@ -423,6 +533,30 @@ pub fn run_lint(config: &LintConfig, update_ratchet: bool) -> Result<LintOutcome
                     line: 0,
                     message: "columnar-executor file missing from the ratchet baseline; \
                               run tag-lint --update"
+                        .to_owned(),
+                }),
+            }
+        }
+        // Rule 6: the row-copy ratchet over the row path.
+        for (file, &count) in &outcome.row_copy_counts {
+            match baseline.get(&format!("{ROW_COPY_PREFIX}{file}")) {
+                Some(&limit) if count > limit => outcome.findings.push(LintFinding {
+                    rule: "row-copy-ratchet",
+                    file: file.clone(),
+                    line: 0,
+                    message: format!(
+                        "{count} whole-collection row copies exceed the ratchet baseline \
+                         of {limit}; borrow stored rows (Cow) or move the frame instead \
+                         of copying it"
+                    ),
+                }),
+                Some(_) => {}
+                None => outcome.findings.push(LintFinding {
+                    rule: "row-copy-ratchet",
+                    file: file.clone(),
+                    line: 0,
+                    message: "row-path file missing from the ratchet baseline; run \
+                              tag-lint --update"
                         .to_owned(),
                 }),
             }
@@ -533,6 +667,7 @@ fn complete_op(&self, op: &str) {}
         outcome.unwrap_counts.insert("a.rs".into(), 3);
         outcome.row_counts.insert("b.rs".into(), 2);
         outcome.tagenv_counts.insert("c.rs".into(), 1);
+        outcome.row_copy_counts.insert("d.rs".into(), 4);
         let dir = std::env::temp_dir().join("tag-lint-test");
         fs::create_dir_all(&dir).expect("tempdir");
         let path = dir.join("ratchet.txt");
@@ -541,6 +676,7 @@ fn complete_op(&self, op: &str) {}
         assert_eq!(loaded.get("a.rs"), Some(&3));
         assert_eq!(loaded.get("vec-row:b.rs"), Some(&2));
         assert_eq!(loaded.get("tagenv:c.rs"), Some(&1));
+        assert_eq!(loaded.get("row-copy:d.rs"), Some(&4));
     }
 
     #[test]
@@ -573,5 +709,42 @@ mod tests {
         let scanned = scan_source(src);
         let code = blank_ranges(&scanned.code, &test_ranges(&scanned.code));
         assert_eq!(count_row_vecs(&code), 2);
+    }
+
+    #[test]
+    fn row_copies_counted_by_receiver_chain() {
+        let src = "
+fn copies(t: &Table, df: &DataFrame, rows: Vec<Row>, left_rows: Vec<Row>) {
+    let a = t.rows().to_vec();
+    let b = rows[start..end].to_vec();
+    let c = self.rows.clone();
+    let c2 = tables[i].rows.clone();
+    let d = self
+        .rows
+        .iter()
+        .filter(|r| pred(r))
+        .cloned()
+        .collect();
+    let e = left_rows.iter().cloned().collect::<Vec<_>>();
+}
+fn not_copies(row: &Row, rows: &[Row], df: &DataFrame) {
+    let a = row.clone();
+    let b = df.columns().to_vec();
+    let c = combined.clone();
+    let d = rows.iter().map(|r| r.len()).collect();
+    let e = rows[i].iter().cloned();
+    let g = rows[pos].clone();
+    let h = df.rows()[0].to_vec();
+    // rows.clone() in a comment
+    let f = \"rows.clone() in a string\";
+}
+#[cfg(test)]
+mod tests {
+    fn t(rows: Vec<Row>) { let x = rows.clone(); }
+}
+";
+        let scanned = scan_source(src);
+        let code = blank_ranges(&scanned.code, &test_ranges(&scanned.code));
+        assert_eq!(count_row_copies(&code), 6);
     }
 }

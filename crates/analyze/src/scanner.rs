@@ -442,6 +442,27 @@ pub fn scope_openers(code: &str, from: usize, pos: usize) -> Vec<String> {
     stack
 }
 
+/// The offset of the `(` or `[` that opens the group closed by the `)`
+/// or `]` at `close`, or `None` when it is unbalanced.
+pub fn group_open(code: &str, close: usize) -> Option<usize> {
+    let bytes = code.as_bytes();
+    let closer = bytes[close];
+    let opener = if closer == b']' { b'[' } else { b'(' };
+    let mut depth = 0usize;
+    let mut j = close;
+    loop {
+        if bytes[j] == closer {
+            depth += 1;
+        } else if bytes[j] == opener {
+            depth -= 1;
+            if depth == 0 {
+                return Some(j);
+            }
+        }
+        j = j.checked_sub(1)?;
+    }
+}
+
 /// The receiver name of a `.method(` call whose `.` sits at `dot`:
 /// walking left over whitespace and `?`, a `]`- or `)`-group collapses
 /// to the identifier before it (index base or method name), and the
@@ -462,25 +483,7 @@ pub fn receiver_ident(code: &str, dot: usize) -> Option<String> {
         }
         match bytes[k - 1] {
             b']' | b')' => {
-                let close = bytes[k - 1];
-                let open = if close == b']' { b'[' } else { b'(' };
-                let mut depth = 0;
-                let mut j = k - 1;
-                loop {
-                    if bytes[j] == close {
-                        depth += 1;
-                    } else if bytes[j] == open {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    if j == 0 {
-                        return None;
-                    }
-                    j -= 1;
-                }
-                k = j;
+                k = group_open(code, k - 1)?;
                 // An index expression (`results[i]`) names its base; a
                 // call group names the method before it. Either way the
                 // identifier left of the opener is the answer — fall

@@ -406,7 +406,7 @@ impl<'a> SemRuntime<'a> {
         }
     }
 
-    fn exec_predicate(&self, df: &DataFrame, pred: &SemPredicate) -> Result<DataFrame, String> {
+    fn exec_predicate(&self, df: DataFrame, pred: &SemPredicate) -> Result<DataFrame, String> {
         match pred {
             SemPredicate::NumCmp { attr, over, value } => df
                 .filter_col(attr, |v| match v.as_f64() {
@@ -430,7 +430,7 @@ impl<'a> SemRuntime<'a> {
                 .map_err(sem_err)
             }
             SemPredicate::TextEqAny { columns, value } => {
-                let col = existing_column(df, columns)?;
+                let col = existing_column(&df, columns)?;
                 df.filter_col(&col, |v| {
                     v.as_str()
                         .map(|s| s.eq_ignore_ascii_case(value))
@@ -443,7 +443,7 @@ impl<'a> SemRuntime<'a> {
 
     fn exec_sem_filter(
         &self,
-        df: &DataFrame,
+        df: DataFrame,
         columns: &[String],
         resolve: bool,
         spec: &SemClaimSpec,
@@ -451,7 +451,7 @@ impl<'a> SemRuntime<'a> {
         early_stop: Option<&CutSpec>,
     ) -> Result<DataFrame, String> {
         let col = if resolve {
-            existing_column(df, columns)?
+            existing_column(&df, columns)?
         } else {
             columns
                 .first()
@@ -471,7 +471,7 @@ impl<'a> SemRuntime<'a> {
                     vec![col.clone()],
                     unique_values.iter().map(|v| vec![v.clone()]).collect(),
                 )?;
-                let kept = sem_filter(&self.env.engine, &unique_df, &col, &claim)?;
+                let kept = sem_filter(&self.env.engine, unique_df, &col, &claim)?;
                 let kept_values: Vec<Value> = kept.column(&col)?;
                 Ok(df.is_in(&col, &kept_values)?)
             };
@@ -488,7 +488,7 @@ impl<'a> SemRuntime<'a> {
     /// per-prompt deterministic.
     fn early_stop_filter(
         &self,
-        df: &DataFrame,
+        df: DataFrame,
         col: &str,
         claim: &SemClaim,
         cut: &CutSpec,
@@ -498,9 +498,9 @@ impl<'a> SemRuntime<'a> {
             .sort_by(&cut.sort_by, cut.descending)
             .map_err(|e| e.to_string())?;
         let idx = sorted.column_index(col).map_err(sem_err)?;
-        let rows = sorted.rows();
+        let (columns, rows) = sorted.into_parts();
         let mut verdicts: HashMap<String, bool> = HashMap::new();
-        let mut kept: Vec<Vec<Value>> = Vec::new();
+        let mut kept: Vec<usize> = Vec::new();
         let mut pos = 0usize;
         let mut batch_size = (4 * cut.k).max(16);
         while pos < rows.len() && kept.len() < cut.k {
@@ -532,7 +532,7 @@ impl<'a> SemRuntime<'a> {
             while pos < scan && kept.len() < cut.k {
                 let v = rows[pos][idx].to_string();
                 if verdicts.get(&v).copied().unwrap_or(false) {
-                    kept.push(rows[pos].clone());
+                    kept.push(pos);
                 }
                 pos += 1;
             }
@@ -541,14 +541,21 @@ impl<'a> SemRuntime<'a> {
         tag_trace::annotate(format!(
             "early_stop: judged {} of {} values",
             verdicts.len(),
-            sorted
-                .rows()
-                .iter()
+            rows.iter()
                 .map(|r| r[idx].to_string())
                 .collect::<HashSet<_>>()
                 .len()
         ));
-        DataFrame::new(sorted.columns().to_vec(), kept).map_err(|e| e.to_string())
+        // `kept` is ascending, so moving the survivors out keeps their
+        // sorted order.
+        let mut kept = kept.into_iter().peekable();
+        let survivors = rows
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| kept.next_if_eq(i).is_some())
+            .map(|(_, row)| row)
+            .collect();
+        DataFrame::new(columns, survivors).map_err(|e| e.to_string())
     }
 
     fn exec_retrieve(&self, query: &str, k: usize, kind: RetrieveKind) -> SemFrame {
@@ -603,12 +610,12 @@ impl<'a> SemRuntime<'a> {
 
     fn exec_generate(
         &self,
-        frame: &SemFrame,
+        frame: SemFrame,
         request: &str,
         format: &GenFormat,
         span_name: &str,
     ) -> Result<SemFrame, String> {
-        let points = decode_points(frame);
+        let points = decode_points(&frame);
         let text = match format {
             GenFormat::List => {
                 self.generate_tracked(answer_list_prompt(request, &points), span_name)?
@@ -624,7 +631,7 @@ impl<'a> SemRuntime<'a> {
                 if tag_lm::tokenizer::count_tokens(&prompt) <= budget {
                     self.generate_tracked(prompt, span_name)?
                 } else {
-                    let df = frame_to_df(frame)?;
+                    let df = frame_into_df(frame)?;
                     sem_agg(&self.env.engine, &df, request, None).map_err(|e| e.to_string())?
                 }
             }
@@ -651,6 +658,14 @@ impl<'a> SemRuntime<'a> {
 
 impl SemDelegate for SemRuntime<'_> {
     fn exec_node(&self, node: &SemNode, inputs: Vec<SemFrame>) -> Result<SemFrame, String> {
+        // Children's frames are owned: each node moves its input in and
+        // its output out, so a frame's rows are never copied between nodes.
+        let mut inputs = inputs.into_iter();
+        let mut input = || {
+            inputs
+                .next()
+                .ok_or_else(|| "semantic plan node is missing an input frame".to_owned())
+        };
         match node {
             SemNode::Scan { table } => {
                 let rs = self
@@ -661,8 +676,8 @@ impl SemDelegate for SemRuntime<'_> {
             }
             SemNode::Input { columns, rows } => Ok(SemFrame::new(columns.clone(), rows.clone())),
             SemNode::Predicate { pred, .. } => {
-                let df = frame_to_df(&inputs[0])?;
-                self.exec_predicate(&df, pred).map(df_to_frame)
+                let df = frame_into_df(input()?)?;
+                self.exec_predicate(df, pred).map(df_into_frame)
             }
             SemNode::SemFilter {
                 columns,
@@ -672,20 +687,13 @@ impl SemDelegate for SemRuntime<'_> {
                 early_stop,
                 ..
             } => {
-                let df = frame_to_df(&inputs[0])?;
-                self.exec_sem_filter(
-                    &df,
-                    columns,
-                    *resolve,
-                    claim,
-                    *distinct,
-                    early_stop.as_ref(),
-                )
-                .map(df_to_frame)
+                let df = frame_into_df(input()?)?;
+                self.exec_sem_filter(df, columns, *resolve, claim, *distinct, early_stop.as_ref())
+                    .map(df_into_frame)
             }
             SemNode::Cut { cut, .. } => {
-                let df = frame_to_df(&inputs[0])?;
-                Ok(df_to_frame(
+                let df = frame_into_df(input()?)?;
+                Ok(df_into_frame(
                     df.sort_by(&cut.sort_by, cut.descending)
                         .map_err(|e| e.to_string())?
                         .head(cut.k),
@@ -697,15 +705,15 @@ impl SemDelegate for SemRuntime<'_> {
                 k,
                 ..
             } => {
-                let df = frame_to_df(&inputs[0])?;
+                let df = frame_into_df(input()?)?;
                 let prop = property_from_word(property)
                     .ok_or_else(|| format!("unknown semantic property: {property}"))?;
-                sem_topk(&self.env.engine, &df, on_attr, prop, *k)
-                    .map(df_to_frame)
+                sem_topk(&self.env.engine, df, on_attr, prop, *k)
+                    .map(df_into_frame)
                     .map_err(|e| e.to_string())
             }
             SemNode::SemAgg { request, .. } => {
-                let df = frame_to_df(&inputs[0])?;
+                let df = frame_into_df(input()?)?;
                 let text =
                     sem_agg(&self.env.engine, &df, request, None).map_err(|e| e.to_string())?;
                 Ok(SemFrame::new(
@@ -719,9 +727,9 @@ impl SemDelegate for SemRuntime<'_> {
                 out_column,
                 ..
             } => {
-                let df = frame_to_df(&inputs[0])?;
-                sem_map(&self.env.engine, &df, on_attr, instruction, out_column)
-                    .map(df_to_frame)
+                let df = frame_into_df(input()?)?;
+                sem_map(&self.env.engine, df, on_attr, instruction, out_column)
+                    .map(df_into_frame)
                     .map_err(|e| e.to_string())
             }
             SemNode::SemJoin {
@@ -730,8 +738,8 @@ impl SemDelegate for SemRuntime<'_> {
                 property,
                 ..
             } => {
-                let left = frame_to_df(&inputs[0])?;
-                let right = frame_to_df(&inputs[1])?;
+                let left = frame_into_df(input()?)?;
+                let right = frame_into_df(input()?)?;
                 let prop = property_from_word(property)
                     .ok_or_else(|| format!("unknown semantic property: {property}"))?;
                 sem_join(
@@ -742,17 +750,17 @@ impl SemDelegate for SemRuntime<'_> {
                     right_on,
                     &SemClaim::Property(prop),
                 )
-                .map(df_to_frame)
+                .map(df_into_frame)
                 .map_err(|e| e.to_string())
             }
             SemNode::Retrieve { query, k, kind } => Ok(self.exec_retrieve(query, *k, *kind)),
-            SemNode::Rerank { query, keep, .. } => self.exec_rerank(&inputs[0], query, *keep),
+            SemNode::Rerank { query, keep, .. } => self.exec_rerank(&input()?, query, *keep),
             SemNode::Generate {
                 request,
                 format,
                 span_name,
                 ..
-            } => self.exec_generate(&inputs[0], request, format, span_name),
+            } => self.exec_generate(input()?, request, format, span_name),
         }
     }
 
@@ -766,12 +774,13 @@ impl SemDelegate for SemRuntime<'_> {
     }
 }
 
-fn frame_to_df(frame: &SemFrame) -> Result<DataFrame, String> {
-    DataFrame::new(frame.columns.clone(), frame.rows.clone()).map_err(|e| e.to_string())
+fn frame_into_df(frame: SemFrame) -> Result<DataFrame, String> {
+    DataFrame::new(frame.columns, frame.rows).map_err(|e| e.to_string())
 }
 
-fn df_to_frame(df: DataFrame) -> SemFrame {
-    SemFrame::new(df.columns().to_vec(), df.rows().to_vec())
+fn df_into_frame(df: DataFrame) -> SemFrame {
+    let (columns, rows) = df.into_parts();
+    SemFrame::new(columns, rows)
 }
 
 fn sem_err(e: tag_sql::SqlError) -> String {
@@ -1149,5 +1158,123 @@ mod tests {
             vec![("c".to_owned(), String::new())],
         ];
         assert_eq!(decode_points(&encode_points(&points)), points);
+    }
+
+    /// Rows with NULLs, numbers, numeric text and mixed-case text in the
+    /// columns the predicates read; `id` identifies survivors.
+    fn predicate_frame() -> SemFrame {
+        SemFrame::new(
+            vec!["id".into(), "city".into(), "score".into()],
+            vec![
+                vec![Value::Int(1), Value::text("Fresno"), Value::Float(2.5)],
+                vec![Value::Int(2), Value::Null, Value::Null],
+                vec![Value::Int(3), Value::text("FRESNO"), Value::Int(7)],
+                vec![Value::Int(4), Value::Int(7), Value::text("9")],
+                vec![Value::Int(5), Value::text("7"), Value::Float(7.0)],
+                vec![Value::Int(6), Value::text("fresno"), Value::Int(7)],
+            ],
+        )
+    }
+
+    /// Run one node over [`predicate_frame`] and return the surviving ids.
+    fn run_over_frame(node: SemNode) -> Result<Vec<Value>, String> {
+        let env = env();
+        let runtime = SemRuntime::new(&env);
+        let out = runtime.exec_node(&node, vec![predicate_frame()])?;
+        Ok(out.rows.iter().map(|r| r[0].clone()).collect())
+    }
+
+    fn over_frame(pred: SemPredicate) -> SemNode {
+        SemNode::Predicate {
+            input: Box::new(SemNode::Scan {
+                table: "unused".into(),
+            }),
+            pred,
+        }
+    }
+
+    fn ids(ids: &[i64]) -> Vec<Value> {
+        ids.iter().map(|&i| Value::Int(i)).collect()
+    }
+
+    #[test]
+    fn predicates_treat_nulls_and_types_as_before() {
+        let num = |over, value| {
+            run_over_frame(over_frame(SemPredicate::NumCmp {
+                attr: "SCORE".into(),
+                over,
+                value,
+            }))
+        };
+        // NULL and numeric text never compare.
+        assert_eq!(num(true, 2.0), Ok(ids(&[1, 3, 5, 6])));
+        assert_eq!(num(false, 7.0), Ok(ids(&[1])));
+        let text_eq = |value: &str| {
+            run_over_frame(over_frame(SemPredicate::TextEq {
+                attr: "city".into(),
+                value: value.into(),
+            }))
+        };
+        // Case-insensitive; NULL never matches; numbers match a numeric
+        // constant.
+        assert_eq!(text_eq("fresno"), Ok(ids(&[1, 3, 6])));
+        assert_eq!(text_eq(" 7 "), Ok(ids(&[4])));
+        assert_eq!(text_eq("7"), Ok(ids(&[4, 5])));
+        let text_eq_any = |value: &str| {
+            run_over_frame(over_frame(SemPredicate::TextEqAny {
+                columns: vec!["town".into(), "City".into(), "score".into()],
+                value: value.into(),
+            }))
+        };
+        // The first existing candidate is used; no numeric fallback.
+        assert_eq!(text_eq_any("FRESNO"), Ok(ids(&[1, 3, 6])));
+        assert_eq!(text_eq_any("7"), Ok(ids(&[5])));
+    }
+
+    #[test]
+    fn predicate_column_errors_are_unchanged() {
+        let missing = run_over_frame(over_frame(SemPredicate::NumCmp {
+            attr: "nope".into(),
+            over: true,
+            value: 0.0,
+        }));
+        assert_eq!(
+            missing,
+            Err("semantic operator frame error: binding error: no such column: nope".into())
+        );
+        let no_candidate = run_over_frame(over_frame(SemPredicate::TextEqAny {
+            columns: vec!["town".into(), "region".into()],
+            value: "x".into(),
+        }));
+        assert_eq!(
+            no_candidate,
+            Err(
+                "semantic operator frame error: binding error: pipeline expects one of the \
+                 columns [\"town\", \"region\"], frame has [\"id\", \"city\", \"score\"]"
+                    .into()
+            )
+        );
+    }
+
+    #[test]
+    fn cut_sorts_stably_and_keeps_k() {
+        let cut = |descending, k| {
+            run_over_frame(SemNode::Cut {
+                input: Box::new(SemNode::Scan {
+                    table: "unused".into(),
+                }),
+                cut: CutSpec {
+                    sort_by: "score".into(),
+                    descending,
+                    k,
+                },
+            })
+        };
+        // Ties (ids 3, 5, 6 at 7) keep input order in both directions;
+        // NULL sorts first ascending, text after numbers.
+        assert_eq!(cut(false, 10), Ok(ids(&[2, 1, 3, 5, 6, 4])));
+        assert_eq!(cut(true, 10), Ok(ids(&[4, 3, 5, 6, 1, 2])));
+        assert_eq!(cut(true, 3), Ok(ids(&[4, 3, 5])));
+        assert_eq!(cut(true, 0), Ok(ids(&[])));
     }
 }

@@ -4,6 +4,11 @@
 //! Appendix C are written against: column selection, filtering, sorting,
 //! head, and merge (equi-join) — plus conversion from/to the SQL engine's
 //! result sets.
+//!
+//! Verbs that keep, reorder or extend rows (`filter`, `sort_by`, `head`,
+//! `with_column`) consume the frame and work in place, so a pipeline
+//! never copies its rows between steps; verbs that build a new shape
+//! (`select`, `merge`, `column`) borrow it.
 
 use tag_sql::{ResultSet, SqlError, SqlResult, Value};
 
@@ -50,6 +55,11 @@ impl DataFrame {
         ResultSet::new(self.columns, self.rows)
     }
 
+    /// Move out the column names and rows.
+    pub fn into_parts(self) -> (Vec<String>, Vec<Vec<Value>>) {
+        (self.columns, self.rows)
+    }
+
     /// Column names.
     pub fn columns(&self) -> &[String] {
         &self.columns
@@ -84,17 +94,15 @@ impl DataFrame {
         Ok(self.rows.iter().map(|r| r[i].clone()).collect())
     }
 
-    /// Keep rows where `pred(row)` is true.
-    pub fn filter(&self, mut pred: impl FnMut(&[Value]) -> bool) -> DataFrame {
-        DataFrame {
-            columns: self.columns.clone(),
-            rows: self.rows.iter().filter(|r| pred(r)).cloned().collect(),
-        }
+    /// Keep rows where `pred(row)` is true, in place.
+    pub fn filter(mut self, mut pred: impl FnMut(&[Value]) -> bool) -> DataFrame {
+        self.rows.retain(|r| pred(r));
+        self
     }
 
     /// Keep rows whose `column` value satisfies `pred`.
     pub fn filter_col(
-        &self,
+        self,
         column: &str,
         mut pred: impl FnMut(&Value) -> bool,
     ) -> SqlResult<DataFrame> {
@@ -103,16 +111,15 @@ impl DataFrame {
     }
 
     /// Keep rows whose `column` value is in `values`.
-    pub fn is_in(&self, column: &str, values: &[Value]) -> SqlResult<DataFrame> {
+    pub fn is_in(self, column: &str, values: &[Value]) -> SqlResult<DataFrame> {
         let set: std::collections::HashSet<&Value> = values.iter().collect();
         self.filter_col(column, |v| set.contains(v))
     }
 
     /// Stable sort by one column.
-    pub fn sort_by(&self, column: &str, descending: bool) -> SqlResult<DataFrame> {
+    pub fn sort_by(mut self, column: &str, descending: bool) -> SqlResult<DataFrame> {
         let i = self.column_index(column)?;
-        let mut rows = self.rows.clone();
-        rows.sort_by(|a, b| {
+        self.rows.sort_by(|a, b| {
             let ord = a[i].total_cmp(&b[i]);
             if descending {
                 ord.reverse()
@@ -120,18 +127,14 @@ impl DataFrame {
                 ord
             }
         });
-        Ok(DataFrame {
-            columns: self.columns.clone(),
-            rows,
-        })
+        Ok(self)
     }
 
     /// Stable sort by the absolute numeric value of one column
     /// (`key=abs` in the Appendix C pipelines).
-    pub fn sort_by_abs(&self, column: &str, descending: bool) -> SqlResult<DataFrame> {
+    pub fn sort_by_abs(mut self, column: &str, descending: bool) -> SqlResult<DataFrame> {
         let i = self.column_index(column)?;
-        let mut rows = self.rows.clone();
-        rows.sort_by(|a, b| {
+        self.rows.sort_by(|a, b| {
             let xa = a[i].as_f64().map(f64::abs).unwrap_or(f64::NEG_INFINITY);
             let xb = b[i].as_f64().map(f64::abs).unwrap_or(f64::NEG_INFINITY);
             let ord = xa.total_cmp(&xb);
@@ -141,18 +144,13 @@ impl DataFrame {
                 ord
             }
         });
-        Ok(DataFrame {
-            columns: self.columns.clone(),
-            rows,
-        })
+        Ok(self)
     }
 
     /// First `n` rows.
-    pub fn head(&self, n: usize) -> DataFrame {
-        DataFrame {
-            columns: self.columns.clone(),
-            rows: self.rows.iter().take(n).cloned().collect(),
-        }
+    pub fn head(mut self, n: usize) -> DataFrame {
+        self.rows.truncate(n);
+        self
     }
 
     /// Project to a subset of columns.
@@ -217,24 +215,18 @@ impl DataFrame {
         Ok(DataFrame { columns, rows })
     }
 
-    /// Add a column computed from each row.
+    /// Add a column computed from each row, in place.
     pub fn with_column(
-        &self,
+        mut self,
         name: impl Into<String>,
         mut f: impl FnMut(&[Value]) -> Value,
     ) -> DataFrame {
-        let mut columns = self.columns.clone();
-        columns.push(name.into());
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mut row = r.clone();
-                row.push(f(r));
-                row
-            })
-            .collect();
-        DataFrame { columns, rows }
+        self.columns.push(name.into());
+        for row in &mut self.rows {
+            let v = f(row);
+            row.push(v);
+        }
+        self
     }
 
     /// Render each row as the `(column, value)` string pairs used for LM
@@ -277,7 +269,10 @@ mod tests {
     #[test]
     fn filter_sort_head() {
         let d = df();
-        let pa = d.filter_col("city", |v| v == &Value::text("PA")).unwrap();
+        let pa = d
+            .clone()
+            .filter_col("city", |v| v == &Value::text("PA"))
+            .unwrap();
         assert_eq!(pa.len(), 2);
         let sorted = d.sort_by("score", true).unwrap();
         assert_eq!(sorted.rows()[0][0], Value::Int(1));
@@ -344,7 +339,88 @@ mod tests {
     #[test]
     fn missing_column_errors() {
         assert!(df().column("nope").is_err());
-        assert!(df().sort_by("nope", false).is_err());
+        let msg = |r: SqlResult<DataFrame>| r.map(|_| ()).unwrap_err().to_string();
+        assert_eq!(
+            msg(df().sort_by("nope", false)),
+            "binding error: no such column: nope"
+        );
+        assert_eq!(
+            msg(df().sort_by_abs("nope", false)),
+            "binding error: no such column: nope"
+        );
+        assert_eq!(
+            msg(df().filter_col("nope", |_| true)),
+            "binding error: no such column: nope"
+        );
+        assert_eq!(
+            msg(df().is_in("nope", &[])),
+            "binding error: no such column: nope"
+        );
+    }
+
+    /// Ties keep input order in both directions (the stable-sort contract
+    /// the SemPlan `Cut` and early-stop filter rely on).
+    #[test]
+    fn sorts_are_stable() {
+        let d = DataFrame::new(
+            vec!["k".into(), "pos".into()],
+            [
+                Value::Int(2),
+                Value::Null,
+                Value::Float(-2.0),
+                Value::Int(1),
+                Value::Int(2),
+                Value::Null,
+            ]
+            .into_iter()
+            .enumerate()
+            .map(|(i, k)| vec![k, Value::Int(i as i64)])
+            .collect(),
+        )
+        .unwrap();
+        let order = |d: DataFrame| -> Vec<Value> { d.column("pos").unwrap() };
+        let ints = |xs: &[i64]| -> Vec<Value> { xs.iter().map(|&x| Value::Int(x)).collect() };
+        assert_eq!(
+            order(d.clone().sort_by("k", false).unwrap()),
+            ints(&[1, 5, 2, 3, 0, 4])
+        );
+        assert_eq!(
+            order(d.clone().sort_by("k", true).unwrap()),
+            ints(&[0, 4, 3, 2, 1, 5])
+        );
+        // |−2| ties with 2; NULL has no magnitude and sorts last.
+        assert_eq!(
+            order(d.clone().sort_by_abs("k", true).unwrap()),
+            ints(&[0, 2, 4, 3, 1, 5])
+        );
+        assert_eq!(order(d.head(2)), ints(&[0, 1]));
+    }
+
+    #[test]
+    fn filters_keep_order_and_see_nulls() {
+        let d = DataFrame::new(
+            vec!["v".into()],
+            vec![
+                vec![Value::text("a")],
+                vec![Value::Null],
+                vec![Value::Int(3)],
+                vec![Value::text("a")],
+            ],
+        )
+        .unwrap();
+        let nulls = d.clone().filter_col("v", Value::is_null).unwrap();
+        assert_eq!(nulls.rows(), &[vec![Value::Null]]);
+        let kept = d
+            .clone()
+            .is_in("v", &[Value::text("a"), Value::Int(3)])
+            .unwrap();
+        assert_eq!(kept.len(), 3);
+        assert_eq!(kept.rows()[1], vec![Value::Int(3)]);
+        // A NULL in the value list matches a NULL cell (set membership,
+        // not SQL `IN`).
+        assert_eq!(d.clone().is_in("v", &[Value::Null]).unwrap().len(), 1);
+        assert_eq!(d.clone().head(10), d);
+        assert!(d.head(0).is_empty());
     }
 
     #[test]

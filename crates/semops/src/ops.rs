@@ -56,7 +56,7 @@ pub type SemResult<T> = Result<T, SemError>;
 /// are answered once (engine cache).
 pub fn sem_filter(
     engine: &SemEngine,
-    df: &DataFrame,
+    df: DataFrame,
     column: &str,
     claim: &SemClaim,
 ) -> SemResult<DataFrame> {
@@ -92,7 +92,7 @@ pub fn sem_filter(
 /// plus O(k²) for the final ordering.
 pub fn sem_topk(
     engine: &SemEngine,
-    df: &DataFrame,
+    df: DataFrame,
     column: &str,
     property: SemProperty,
     k: usize,
@@ -115,12 +115,14 @@ pub fn sem_topk(
     };
 
     let order = borda_rank(engine, &texts, &candidates, property)?;
+    let (columns, rows) = df.into_parts();
+    let mut slots: Vec<Option<Vec<Value>>> = rows.into_iter().map(Some).collect();
     let rows: Vec<Vec<Value>> = order
         .into_iter()
         .take(k)
-        .map(|i| df.rows()[i].clone())
+        .filter_map(|i| slots[i].take())
         .collect();
-    Ok(DataFrame::new(df.columns().to_vec(), rows).expect("width preserved"))
+    Ok(DataFrame::new(columns, rows).expect("width preserved"))
 }
 
 /// Batched quickselect: repeatedly pick a pivot, compare every surviving
@@ -231,12 +233,17 @@ pub fn sem_agg(
     columns: Option<&[&str]>,
 ) -> SemResult<String> {
     let _span = tag_trace::span(tag_trace::Stage::Gen, "sem_agg");
-    let projected = match columns {
-        Some(cols) => df.select(cols)?,
-        None => df.clone(),
+    let items = match columns {
+        Some(cols) => agg_items(&df.select(cols)?),
+        None => agg_items(df),
     };
-    let items: Vec<String> = projected
-        .to_data_points()
+    agg_fold(engine, instruction, items)
+}
+
+/// One compact `column value, …` record per row: the items an
+/// aggregation prompt lists.
+fn agg_items(df: &DataFrame) -> Vec<String> {
+    df.to_data_points()
         .iter()
         .map(|p| {
             p.iter()
@@ -244,8 +251,7 @@ pub fn sem_agg(
                 .collect::<Vec<_>>()
                 .join(", ")
         })
-        .collect();
-    agg_fold(engine, instruction, items)
+        .collect()
 }
 
 fn agg_fold(engine: &SemEngine, instruction: &str, items: Vec<String>) -> SemResult<String> {
@@ -291,7 +297,7 @@ fn agg_fold(engine: &SemEngine, instruction: &str, items: Vec<String>) -> SemRes
 /// One batch; duplicate values answered once via the engine cache.
 pub fn sem_map(
     engine: &SemEngine,
-    df: &DataFrame,
+    df: DataFrame,
     column: &str,
     instruction: &str,
     out_column: &str,
@@ -323,20 +329,10 @@ pub fn sem_agg_refine(
     columns: Option<&[&str]>,
 ) -> SemResult<String> {
     let _span = tag_trace::span(tag_trace::Stage::Gen, "sem_agg_refine");
-    let projected = match columns {
-        Some(cols) => df.select(cols)?,
-        None => df.clone(),
+    let items = match columns {
+        Some(cols) => agg_items(&df.select(cols)?),
+        None => agg_items(df),
     };
-    let items: Vec<String> = projected
-        .to_data_points()
-        .iter()
-        .map(|p| {
-            p.iter()
-                .map(|(c, v)| format!("{c} {v}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        })
-        .collect();
     let budget = engine.lm().context_window().saturating_sub(1024).max(256);
     let mut summary: Option<String> = None;
     let mut chunk: Vec<String> = Vec::new();
@@ -372,7 +368,7 @@ pub fn sem_agg_refine(
 /// baseline and available as a LOTUS-style operator.
 pub fn sem_score(
     engine: &SemEngine,
-    df: &DataFrame,
+    df: DataFrame,
     question: &str,
     score_column: &str,
 ) -> SemResult<DataFrame> {
@@ -489,7 +485,7 @@ mod tests {
         let e = engine();
         let out = sem_filter(
             &e,
-            &cities(),
+            cities(),
             "City",
             &SemClaim::CityInRegion {
                 region: "Silicon Valley".into(),
@@ -510,7 +506,7 @@ mod tests {
         let e = engine();
         sem_filter(
             &e,
-            &cities(),
+            cities(),
             "City",
             &SemClaim::CityInRegion {
                 region: "Bay Area".into(),
@@ -536,7 +532,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let top = sem_topk(&e, &df, "Title", SemProperty::Technical, 2).unwrap();
+        let top = sem_topk(&e, df.clone(), "Title", SemProperty::Technical, 2).unwrap();
         let titles: Vec<String> = top
             .column("Title")
             .unwrap()
@@ -552,11 +548,11 @@ mod tests {
     fn sem_topk_small_inputs() {
         let e = engine();
         let df = DataFrame::new(vec!["t".into()], vec![vec![Value::text("only")]]).unwrap();
-        let out = sem_topk(&e, &df, "t", SemProperty::Positive, 5).unwrap();
+        let out = sem_topk(&e, df.clone(), "t", SemProperty::Positive, 5).unwrap();
         assert_eq!(out.len(), 1);
         let empty = DataFrame::empty(vec!["t".into()]);
         assert_eq!(
-            sem_topk(&e, &empty, "t", SemProperty::Positive, 3)
+            sem_topk(&e, empty, "t", SemProperty::Positive, 3)
                 .unwrap()
                 .len(),
             0
@@ -581,7 +577,7 @@ mod tests {
             rows.push(vec![Value::text(t)]);
         }
         let df = DataFrame::new(vec!["Title".into()], rows).unwrap();
-        let top = sem_topk(&e, &df, "Title", SemProperty::Technical, 5).unwrap();
+        let top = sem_topk(&e, df.clone(), "Title", SemProperty::Technical, 5).unwrap();
         assert_eq!(top.len(), 5);
         for v in top.column("Title").unwrap() {
             assert!(
@@ -615,7 +611,7 @@ mod tests {
             rows.push(vec![Value::text(t)]);
         }
         let df = DataFrame::new(vec!["t".into()], rows).unwrap();
-        let top = sem_topk(&e, &df, "t", SemProperty::Technical, 3).unwrap();
+        let top = sem_topk(&e, df.clone(), "t", SemProperty::Technical, 3).unwrap();
         let got: std::collections::HashSet<String> = top
             .column("t")
             .unwrap()
@@ -636,13 +632,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            sem_topk(&e, &df, "t", SemProperty::Positive, 0)
+            sem_topk(&e, df.clone(), "t", SemProperty::Positive, 0)
                 .unwrap()
                 .len(),
             0
         );
         assert_eq!(
-            sem_topk(&e, &df, "t", SemProperty::Positive, 10)
+            sem_topk(&e, df.clone(), "t", SemProperty::Positive, 10)
                 .unwrap()
                 .len(),
             2
@@ -760,7 +756,7 @@ mod tests {
         .unwrap();
         let out = sem_map(
             &e,
-            &df,
+            df,
             "review",
             "classify the sentiment as positive, negative, or neutral",
             "label",
@@ -787,7 +783,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = sem_map(&e, &df, "name", "extract the year", "year").unwrap();
+        let out = sem_map(&e, df, "name", "extract the year", "year").unwrap();
         let years: Vec<String> = out
             .column("year")
             .unwrap()
@@ -802,7 +798,7 @@ mod tests {
     #[test]
     fn sem_score_attaches_bounded_scores() {
         let e = engine();
-        let scored = sem_score(&e, &cities(), "Which cities are in California?", "score").unwrap();
+        let scored = sem_score(&e, cities(), "Which cities are in California?", "score").unwrap();
         assert!(scored.columns().contains(&"score".to_string()));
         for r in scored.rows() {
             let s = r[2].as_f64().unwrap();
@@ -815,7 +811,7 @@ mod tests {
         let e = engine();
         let (trace, sink) = tag_trace::Trace::memory();
         tag_trace::with_trace(&trace, || {
-            sem_score(&e, &cities(), "Which cities are in California?", "score").unwrap()
+            sem_score(&e, cities(), "Which cities are in California?", "score").unwrap()
         });
         let spans = sink.take();
         assert_eq!(spans.len(), 1);
@@ -860,6 +856,6 @@ mod tests {
     #[test]
     fn missing_column_errors() {
         let e = engine();
-        assert!(sem_filter(&e, &cities(), "nope", &SemClaim::ClassicMovie).is_err());
+        assert!(sem_filter(&e, cities(), "nope", &SemClaim::ClassicMovie).is_err());
     }
 }

@@ -41,7 +41,7 @@ proptest! {
         let e = engine();
         let df = text_frame(&texts);
         let claim = SemClaim::Property(SemProperty::Positive);
-        let once = sem_filter(&e, &df, "t", &claim).unwrap();
+        let once = sem_filter(&e, df.clone(), "t", &claim).unwrap();
         prop_assert!(once.len() <= df.len());
         // Order preservation: the output appears in input order.
         let input: Vec<String> = texts.clone();
@@ -52,7 +52,7 @@ proptest! {
             prop_assert!(pos.is_some(), "output not a subsequence");
             cursor += pos.unwrap() + 1;
         }
-        let twice = sem_filter(&e, &once, "t", &claim).unwrap();
+        let twice = sem_filter(&e, once.clone(), "t", &claim).unwrap();
         prop_assert_eq!(once, twice);
     }
 
@@ -64,7 +64,7 @@ proptest! {
     ) {
         let e = engine();
         let df = text_frame(&texts);
-        let top = sem_topk(&e, &df, "t", SemProperty::Technical, k).unwrap();
+        let top = sem_topk(&e, df, "t", SemProperty::Technical, k).unwrap();
         prop_assert_eq!(top.len(), k.min(texts.len()));
         for v in top.column("t").unwrap() {
             prop_assert!(texts.contains(&v.to_string()));
@@ -79,7 +79,7 @@ proptest! {
     ) {
         let e = engine();
         let df = text_frame(&texts);
-        let top = sem_topk(&e, &df, "t", SemProperty::Technical, 1).unwrap();
+        let top = sem_topk(&e, df, "t", SemProperty::Technical, 1).unwrap();
         let best = top.column("t").unwrap()[0].to_string();
         let score = tag_lm::lexicon::technicality_score(&best);
         for t in &texts {

@@ -3,7 +3,16 @@
 //! Operators materialize their outputs bottom-up. For an in-memory
 //! analytic engine at TAG-Bench scale (tables of 10²–10⁴ rows) this is
 //! both simpler and faster than a tuple-at-a-time volcano loop: each
-//! operator runs as a tight loop over a `Vec<Row>`.
+//! operator runs as a tight loop over a [`RowSet`].
+//!
+//! # Row ownership
+//!
+//! A [`RowSet`] holds `Cow` rows: stored rows stay borrowed from table
+//! storage through scans, index probes, filters, limits, `DISTINCT`,
+//! sorts and identity projections; only an operator that creates a row
+//! (a computed projection, a join, an aggregate, `VALUES`) owns it.
+//! [`execute`] materializes the root's rows exactly once, so a
+//! statement copies each stored row it returns once and no other.
 
 use crate::ast::JoinKind;
 use crate::catalog::Catalog;
@@ -13,12 +22,17 @@ use crate::plan::{AggCall, AggFunc, Plan, SortKey};
 use crate::profile::{node_label, PlanProfiler};
 use crate::schema::Row;
 use crate::value::Value;
+use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
+/// An operator's output: rows borrowed from table storage (`'a` is the
+/// catalog's lifetime) or created by the operator.
+type RowSet<'a> = Vec<Cow<'a, Row>>;
+
 /// Execute a plan against a catalog, producing materialized rows.
 pub fn execute(plan: &Plan, catalog: &Catalog) -> SqlResult<Vec<Row>> {
-    exec_node(plan, catalog, None)
+    exec_node(plan, catalog, None).map(materialize)
 }
 
 /// Execute a plan with per-node profiling. Runs exactly the same code
@@ -29,12 +43,22 @@ pub fn execute_profiled(
     catalog: &Catalog,
     profiler: &PlanProfiler,
 ) -> SqlResult<Vec<Row>> {
-    exec_node(plan, catalog, Some(profiler))
+    exec_node(plan, catalog, Some(profiler)).map(materialize)
+}
+
+/// The statement's one materialization: borrowed rows are copied out of
+/// storage, created rows move.
+fn materialize(rows: RowSet<'_>) -> Vec<Row> {
+    rows.into_iter().map(Cow::into_owned).collect()
 }
 
 /// Recursion point: every operator's children come back through here so
 /// each node is individually timed when a profiler is attached.
-fn exec_node(plan: &Plan, catalog: &Catalog, prof: Option<&PlanProfiler>) -> SqlResult<Vec<Row>> {
+fn exec_node<'a>(
+    plan: &Plan,
+    catalog: &'a Catalog,
+    prof: Option<&PlanProfiler>,
+) -> SqlResult<RowSet<'a>> {
     let Some(p) = prof else {
         return exec_impl(plan, catalog, None);
     };
@@ -44,9 +68,21 @@ fn exec_node(plan: &Plan, catalog: &Catalog, prof: Option<&PlanProfiler>) -> Sql
     result
 }
 
-fn exec_impl(plan: &Plan, catalog: &Catalog, prof: Option<&PlanProfiler>) -> SqlResult<Vec<Row>> {
+fn exec_impl<'a>(
+    plan: &Plan,
+    catalog: &'a Catalog,
+    prof: Option<&PlanProfiler>,
+) -> SqlResult<RowSet<'a>> {
+    let ctx = EvalCtx {
+        catalog: Some(catalog),
+    };
     match plan {
-        Plan::TableScan { table, .. } => Ok(catalog.table(table)?.rows().to_vec()),
+        Plan::TableScan { table, .. } => Ok(catalog
+            .table(table)?
+            .rows()
+            .iter()
+            .map(Cow::Borrowed)
+            .collect()),
         Plan::IndexProbe {
             table,
             key_column,
@@ -62,7 +98,7 @@ fn exec_impl(plan: &Plan, catalog: &Catalog, prof: Option<&PlanProfiler>) -> Sql
             Ok(idx
                 .probe(key)
                 .into_iter()
-                .map(|id| t.row(id).clone())
+                .map(|id| Cow::Borrowed(t.row(id)))
                 .collect())
         }
         Plan::IndexRangeScan {
@@ -82,21 +118,20 @@ fn exec_impl(plan: &Plan, catalog: &Catalog, prof: Option<&PlanProfiler>) -> Sql
             let ids = idx
                 .probe_range(low, high)
                 .ok_or_else(|| SqlError::Eval("range scan requires a B-tree index".into()))?;
-            Ok(ids.into_iter().map(|id| t.row(id).clone()).collect())
+            Ok(ids.into_iter().map(|id| Cow::Borrowed(t.row(id))).collect())
         }
-        Plan::Values { rows, .. } => {
-            let ctx = EvalCtx {
-                catalog: Some(catalog),
-            };
-            rows.iter()
-                .map(|exprs| exprs.iter().map(|e| e.eval_ctx(&[], &ctx)).collect())
-                .collect()
-        }
+        Plan::Values { rows, .. } => rows
+            .iter()
+            .map(|exprs| {
+                exprs
+                    .iter()
+                    .map(|e| e.eval_ctx(&[], &ctx))
+                    .collect::<SqlResult<Row>>()
+                    .map(Cow::Owned)
+            })
+            .collect(),
         Plan::Filter { input, predicate } => {
             let rows = exec_node(input, catalog, prof)?;
-            let ctx = EvalCtx {
-                catalog: Some(catalog),
-            };
             let mut out = Vec::with_capacity(rows.len() / 2);
             for row in rows {
                 if predicate.eval_predicate_ctx(&row, &ctx)? {
@@ -107,16 +142,16 @@ fn exec_impl(plan: &Plan, catalog: &Catalog, prof: Option<&PlanProfiler>) -> Sql
         }
         Plan::Project { input, exprs, .. } => {
             let rows = exec_node(input, catalog, prof)?;
-            let ctx = EvalCtx {
-                catalog: Some(catalog),
-            };
+            if is_identity(exprs, &rows) {
+                return Ok(rows);
+            }
             let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
+            for row in &rows {
                 let projected = exprs
                     .iter()
-                    .map(|e| e.eval_ctx(&row, &ctx))
+                    .map(|e| e.eval_ctx(row, &ctx))
                     .collect::<SqlResult<Row>>()?;
-                out.push(projected);
+                out.push(Cow::Owned(projected));
             }
             Ok(out)
         }
@@ -145,12 +180,13 @@ fn exec_impl(plan: &Plan, catalog: &Catalog, prof: Option<&PlanProfiler>) -> Sql
         ),
         Plan::Aggregate {
             input, group, aggs, ..
-        } => aggregate(input, group, aggs, catalog, prof),
+        } => {
+            let rows = exec_node(input, catalog, prof)?;
+            let out = aggregate_rows(&rows, group, aggs, &ctx)?;
+            Ok(out.into_iter().map(Cow::Owned).collect())
+        }
         Plan::Sort { input, keys } => {
             let mut rows = exec_node(input, catalog, prof)?;
-            let ctx = EvalCtx {
-                catalog: Some(catalog),
-            };
             sort_rows(&mut rows, keys, &ctx)?;
             Ok(rows)
         }
@@ -159,30 +195,34 @@ fn exec_impl(plan: &Plan, catalog: &Catalog, prof: Option<&PlanProfiler>) -> Sql
             keys,
             k,
             offset,
-        } => top_k(input, keys, *k, *offset, catalog, prof),
+        } => {
+            let rows = exec_node(input, catalog, prof)?;
+            top_k(rows, keys, *k, *offset, &ctx)
+        }
         Plan::Limit {
             input,
             limit,
             offset,
         } => {
-            let rows = exec_node(input, catalog, prof)?;
+            let mut rows = exec_node(input, catalog, prof)?;
             let start = (*offset as usize).min(rows.len());
             let end = match limit {
                 Some(l) => (start + *l as usize).min(rows.len()),
                 None => rows.len(),
             };
-            Ok(rows[start..end].to_vec())
+            rows.truncate(end);
+            rows.drain(..start);
+            Ok(rows)
         }
         Plan::Distinct { input } => {
-            let rows = exec_node(input, catalog, prof)?;
-            let mut seen = std::collections::HashSet::with_capacity(rows.len());
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                if seen.insert(row.clone()) {
-                    out.push(row);
-                }
-            }
-            Ok(out)
+            let mut rows = exec_node(input, catalog, prof)?;
+            let first_seen: Vec<bool> = {
+                let mut seen = std::collections::HashSet::with_capacity(rows.len());
+                rows.iter().map(|row| seen.insert(&**row)).collect()
+            };
+            let mut first_seen = first_seen.into_iter();
+            rows.retain(|_| first_seen.next().unwrap_or(false));
+            Ok(rows)
         }
         Plan::Sem { .. } => Err(SqlError::Unsupported(
             "semantic plans execute through a SemDelegate (see tag_sql::execute_sem), \
@@ -190,6 +230,18 @@ fn exec_impl(plan: &Plan, catalog: &Catalog, prof: Option<&PlanProfiler>) -> Sql
                 .into(),
         )),
     }
+}
+
+/// True when projecting `rows` through `exprs` would reproduce every row
+/// unchanged (`SELECT *` and friends): `exprs` is `#0, #1, …, #n-1` and
+/// every row has exactly `n` values. Such a projection passes its input
+/// through instead of copying it.
+fn is_identity(exprs: &[BoundExpr], rows: &[Cow<'_, Row>]) -> bool {
+    exprs
+        .iter()
+        .enumerate()
+        .all(|(i, e)| matches!(e, BoundExpr::ColumnRef(j) if *j == i))
+        && rows.iter().all(|r| r.len() == exprs.len())
 }
 
 fn bound_as_ref(b: &std::ops::Bound<Value>) -> std::ops::Bound<&Value> {
@@ -200,14 +252,14 @@ fn bound_as_ref(b: &std::ops::Bound<Value>) -> std::ops::Bound<&Value> {
     }
 }
 
-fn nested_loop_join(
+fn nested_loop_join<'a>(
     left: &Plan,
     right: &Plan,
     kind: JoinKind,
     on: Option<&BoundExpr>,
-    catalog: &Catalog,
+    catalog: &'a Catalog,
     prof: Option<&PlanProfiler>,
-) -> SqlResult<Vec<Row>> {
+) -> SqlResult<RowSet<'a>> {
     let left_rows = exec_node(left, catalog, prof)?;
     let right_rows = exec_node(right, catalog, prof)?;
     let right_width = right.width();
@@ -216,11 +268,11 @@ fn nested_loop_join(
     };
     let mut out = Vec::new();
     let mut combined = Vec::new();
-    for l in &left_rows {
+    for l in left_rows {
         let mut matched = false;
         for r in &right_rows {
             combined.clear();
-            combined.extend_from_slice(l);
+            combined.extend_from_slice(&l);
             combined.extend_from_slice(r);
             let keep = match on {
                 Some(pred) => pred.eval_predicate_ctx(&combined, &ctx)?,
@@ -228,29 +280,27 @@ fn nested_loop_join(
             };
             if keep {
                 matched = true;
-                out.push(combined.clone());
+                out.push(Cow::Owned(combined.clone()));
             }
         }
         if kind == JoinKind::Left && !matched {
-            let mut row = l.clone();
-            row.extend(std::iter::repeat_n(Value::Null, right_width));
-            out.push(row);
+            out.push(Cow::Owned(null_extended(l, right_width)));
         }
     }
     Ok(out)
 }
 
 #[allow(clippy::too_many_arguments)]
-fn hash_join(
+fn hash_join<'a>(
     left: &Plan,
     right: &Plan,
     kind: JoinKind,
     left_key: &BoundExpr,
     right_key: &BoundExpr,
     residual: Option<&BoundExpr>,
-    catalog: &Catalog,
+    catalog: &'a Catalog,
     prof: Option<&PlanProfiler>,
-) -> SqlResult<Vec<Row>> {
+) -> SqlResult<RowSet<'a>> {
     let left_rows = exec_node(left, catalog, prof)?;
     let right_rows = exec_node(right, catalog, prof)?;
     let right_width = right.width();
@@ -271,14 +321,14 @@ fn hash_join(
 
     let mut out = Vec::new();
     let mut combined = Vec::new();
-    for l in &left_rows {
-        let key = left_key.eval_ctx(l, &ctx)?;
+    for l in left_rows {
+        let key = left_key.eval_ctx(&l, &ctx)?;
         let mut matched = false;
         if !key.is_null() {
             if let Some(ids) = table.get(&key) {
                 for &i in ids {
                     combined.clear();
-                    combined.extend_from_slice(l);
+                    combined.extend_from_slice(&l);
                     combined.extend_from_slice(&right_rows[i]);
                     let keep = match residual {
                         Some(pred) => pred.eval_predicate_ctx(&combined, &ctx)?,
@@ -286,18 +336,23 @@ fn hash_join(
                     };
                     if keep {
                         matched = true;
-                        out.push(combined.clone());
+                        out.push(Cow::Owned(combined.clone()));
                     }
                 }
             }
         }
         if kind == JoinKind::Left && !matched {
-            let mut row = l.clone();
-            row.extend(std::iter::repeat_n(Value::Null, right_width));
-            out.push(row);
+            out.push(Cow::Owned(null_extended(l, right_width)));
         }
     }
     Ok(out)
+}
+
+/// A LEFT join's unmatched left row, padded with `width` NULLs.
+fn null_extended(left: Cow<'_, Row>, width: usize) -> Row {
+    let mut row = left.into_owned();
+    row.extend(std::iter::repeat_n(Value::Null, width));
+    row
 }
 
 /// Accumulator for one aggregate call. Shared with the chunked executor
@@ -408,70 +463,59 @@ impl AggState {
     }
 }
 
-fn aggregate(
-    input: &Plan,
-    group: &[BoundExpr],
-    aggs: &[AggCall],
-    catalog: &Catalog,
-    prof: Option<&PlanProfiler>,
-) -> SqlResult<Vec<Row>> {
-    let rows = exec_node(input, catalog, prof)?;
-    let ctx = EvalCtx {
-        catalog: Some(catalog),
-    };
-    aggregate_rows(&rows, group, aggs, &ctx)
-}
-
 /// Row-level aggregation, split out so the chunked executor can replay
 /// the exact serial semantics (including error order) on its inputs.
-pub(crate) fn aggregate_rows(
-    rows: &[Row],
+pub(crate) fn aggregate_rows<R: Borrow<Row>>(
+    rows: &[R],
     group: &[BoundExpr],
     aggs: &[AggCall],
     ctx: &EvalCtx<'_>,
 ) -> SqlResult<Vec<Row>> {
-    // Group key -> (representative key values, states, distinct sets)
+    // Groups in first-seen order: (key values, states, distinct sets),
+    // found through `slots` by key.
     type DistinctSets = Vec<Option<std::collections::HashSet<Value>>>;
-    let mut groups: HashMap<Vec<Value>, (Vec<AggState>, DistinctSets)> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new(); // first-seen group order
+    let mut groups: Vec<(Vec<Value>, Vec<AggState>, DistinctSets)> = Vec::new();
+    let mut slots: HashMap<Vec<Value>, usize> = HashMap::new();
 
     for row in rows {
+        let row: &Row = row.borrow();
         let key: Vec<Value> = group
             .iter()
             .map(|g| g.eval_ctx(row, ctx))
             .collect::<SqlResult<_>>()?;
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key.clone());
-            (
-                aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                aggs.iter()
-                    .map(|a| {
-                        if a.distinct {
-                            Some(std::collections::HashSet::new())
-                        } else {
-                            None
-                        }
-                    })
-                    .collect(),
-            )
-        });
+        let slot = match slots.get(&key) {
+            Some(&slot) => slot,
+            None => {
+                let slot = groups.len();
+                slots.insert(key.clone(), slot);
+                groups.push((
+                    key,
+                    aggs.iter().map(|a| AggState::new(a.func)).collect(),
+                    aggs.iter()
+                        .map(|a| a.distinct.then(std::collections::HashSet::new))
+                        .collect(),
+                ));
+                slot
+            }
+        };
+        let (_, states, distinct) = &mut groups[slot];
         for (i, agg) in aggs.iter().enumerate() {
             let v = match &agg.arg {
                 Some(e) => e.eval_ctx(row, ctx)?,
                 None => Value::Int(1), // COUNT(*) marker
             };
-            if let Some(seen) = &mut entry.1[i] {
+            if let Some(seen) = &mut distinct[i] {
                 if v.is_null() || !seen.insert(v.clone()) {
                     continue;
                 }
             }
-            entry.0[i].update(&v)?;
+            states[i].update(&v)?;
         }
     }
 
     // Global aggregation with no groups over an empty input still yields
     // one row of "empty" aggregate results.
-    if group.is_empty() && order.is_empty() {
+    if group.is_empty() && groups.is_empty() {
         let states: Vec<AggState> = aggs.iter().map(|a| AggState::new(a.func)).collect();
         let row: Row = states
             .into_iter()
@@ -481,18 +525,15 @@ pub(crate) fn aggregate_rows(
         return Ok(vec![row]);
     }
 
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        let Some((states, _)) = groups.remove(&key) else {
-            continue; // every ordered key was inserted above
-        };
-        let mut row = key;
-        for (s, a) in states.into_iter().zip(aggs) {
-            row.push(s.finish(&a.separator));
-        }
-        out.push(row);
-    }
-    Ok(out)
+    Ok(groups
+        .into_iter()
+        .map(|(mut row, states, _)| {
+            for (s, a) in states.into_iter().zip(aggs) {
+                row.push(s.finish(&a.separator));
+            }
+            row
+        })
+        .collect())
 }
 
 /// Compare two rows under the given sort keys (keys already evaluated).
@@ -534,8 +575,8 @@ pub(crate) fn eval_keys(row: &Row, keys: &[SortKey], ctx: &EvalCtx<'_>) -> SqlRe
 
 /// Stable sort by the given keys: equal-key rows keep their input order
 /// (see the [`compare_keys`] ordering contract).
-pub(crate) fn sort_rows(rows: &mut Vec<Row>, keys: &[SortKey], ctx: &EvalCtx<'_>) -> SqlResult<()> {
-    let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
+fn sort_rows(rows: &mut RowSet<'_>, keys: &[SortKey], ctx: &EvalCtx<'_>) -> SqlResult<()> {
+    let mut keyed = Vec::with_capacity(rows.len());
     for row in rows.drain(..) {
         keyed.push((eval_keys(&row, keys, ctx)?, row));
     }
@@ -547,18 +588,13 @@ pub(crate) fn sort_rows(rows: &mut Vec<Row>, keys: &[SortKey], ctx: &EvalCtx<'_>
 /// Heap-based top-(offset + k), then a final sort of the survivors.
 /// Ties are broken by input sequence (`seq`), which makes the result
 /// byte-identical to `Sort + Limit` — see the [`compare_keys`] contract.
-fn top_k(
-    input: &Plan,
+fn top_k<'a>(
+    rows: RowSet<'a>,
     keys: &[SortKey],
     k: usize,
     offset: usize,
-    catalog: &Catalog,
-    prof: Option<&PlanProfiler>,
-) -> SqlResult<Vec<Row>> {
-    let rows = exec_node(input, catalog, prof)?;
-    let eval_ctx = EvalCtx {
-        catalog: Some(catalog),
-    };
+    eval_ctx: &EvalCtx<'_>,
+) -> SqlResult<RowSet<'a>> {
     let want = k.saturating_add(offset);
     if want == 0 {
         return Ok(Vec::new());
@@ -566,22 +602,22 @@ fn top_k(
 
     // Max-heap of the worst current survivors; (keys, seq) ordering makes
     // the heap behave like the stable sort.
-    struct Entry {
+    struct Entry<'a> {
         key: Vec<Value>,
         seq: usize,
-        row: Row,
+        row: Cow<'a, Row>,
     }
     struct Ctx<'a>(&'a [SortKey]);
     impl Ctx<'_> {
-        fn cmp(&self, a: &Entry, b: &Entry) -> Ordering {
+        fn cmp(&self, a: &Entry<'_>, b: &Entry<'_>) -> Ordering {
             compare_keys(&a.key, &b.key, self.0).then(a.seq.cmp(&b.seq))
         }
     }
 
     let ctx = Ctx(keys);
-    let mut heap: Vec<Entry> = Vec::with_capacity(want + 1);
+    let mut heap: Vec<Entry<'a>> = Vec::with_capacity(want + 1);
     for (seq, row) in rows.into_iter().enumerate() {
-        let key = eval_keys(&row, keys, &eval_ctx)?;
+        let key = eval_keys(&row, keys, eval_ctx)?;
         let entry = Entry { key, seq, row };
         if heap.len() < want {
             heap.push(entry);

@@ -13,6 +13,7 @@ use crate::functions::eval_builtin;
 use crate::schema::DataType;
 use crate::udf::ScalarUdf;
 use crate::value::{arith, like_match, Value};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -179,13 +180,9 @@ impl BoundExpr {
     /// subqueries.
     pub fn eval_ctx(&self, row: &[Value], ctx: &EvalCtx<'_>) -> SqlResult<Value> {
         match self {
-            BoundExpr::Literal(v) => Ok(v.clone()),
-            BoundExpr::ColumnRef(i) => row.get(*i).cloned().ok_or_else(|| {
-                SqlError::Eval(format!(
-                    "column reference #{i} out of bounds for row of width {}",
-                    row.len()
-                ))
-            }),
+            BoundExpr::Literal(_) | BoundExpr::ColumnRef(_) => {
+                self.eval_borrowed(row, ctx).map(Cow::into_owned)
+            }
             BoundExpr::OuterRef(i) => Err(SqlError::Eval(format!(
                 "unsubstituted outer reference outer#{i} (correlated subquery \
                  evaluated outside its enclosing query)"
@@ -253,7 +250,7 @@ impl BoundExpr {
                 }
             }
             BoundExpr::IsNull { expr, negated } => {
-                let v = expr.eval_ctx(row, ctx)?;
+                let v = expr.eval_borrowed(row, ctx)?;
                 Ok(Value::from(v.is_null() != *negated))
             }
             BoundExpr::Between {
@@ -262,9 +259,9 @@ impl BoundExpr {
                 high,
                 negated,
             } => {
-                let v = expr.eval_ctx(row, ctx)?;
-                let lo = low.eval_ctx(row, ctx)?;
-                let hi = high.eval_ctx(row, ctx)?;
+                let v = expr.eval_borrowed(row, ctx)?;
+                let lo = low.eval_borrowed(row, ctx)?;
+                let hi = high.eval_borrowed(row, ctx)?;
                 let ge = v.sql_cmp(&lo).map(|o| o != std::cmp::Ordering::Less);
                 let le = v.sql_cmp(&hi).map(|o| o != std::cmp::Ordering::Greater);
                 Ok(match (ge, le) {
@@ -279,13 +276,13 @@ impl BoundExpr {
                 list,
                 negated,
             } => {
-                let v = expr.eval_ctx(row, ctx)?;
+                let v = expr.eval_borrowed(row, ctx)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 let mut saw_null = false;
                 for item in list {
-                    let w = item.eval_ctx(row, ctx)?;
+                    let w = item.eval_borrowed(row, ctx)?;
                     match v.sql_eq(&w) {
                         Some(true) => return Ok(Value::from(!*negated)),
                         Some(false) => {}
@@ -304,11 +301,11 @@ impl BoundExpr {
                 set_has_null,
                 negated,
             } => {
-                let v = expr.eval_ctx(row, ctx)?;
+                let v = expr.eval_borrowed(row, ctx)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
-                if set.contains(&v) {
+                if set.contains(&*v) {
                     Ok(Value::from(!*negated))
                 } else if *set_has_null {
                     Ok(Value::Null)
@@ -369,6 +366,26 @@ impl BoundExpr {
                 }
                 udf.call(&vals)
             }
+        }
+    }
+
+    /// Evaluate like [`Self::eval_ctx`], but borrow column values and
+    /// literals instead of cloning them: operands that are only read
+    /// (compared, tested, combined into a new value) need no copy.
+    fn eval_borrowed<'v>(
+        &'v self,
+        row: &'v [Value],
+        ctx: &EvalCtx<'_>,
+    ) -> SqlResult<Cow<'v, Value>> {
+        match self {
+            BoundExpr::Literal(v) => Ok(Cow::Borrowed(v)),
+            BoundExpr::ColumnRef(i) => row.get(*i).map(Cow::Borrowed).ok_or_else(|| {
+                SqlError::Eval(format!(
+                    "column reference #{i} out of bounds for row of width {}",
+                    row.len()
+                ))
+            }),
+            other => other.eval_ctx(row, ctx).map(Cow::Owned),
         }
     }
 
@@ -710,11 +727,11 @@ fn eval_binary(
     // Short-circuiting three-valued AND / OR.
     match op {
         BinOp::And => {
-            let l = lhs.eval_ctx(row, ctx)?.truthiness();
+            let l = lhs.eval_borrowed(row, ctx)?.truthiness();
             if l == Some(false) {
                 return Ok(Value::from(false));
             }
-            let r = rhs.eval_ctx(row, ctx)?.truthiness();
+            let r = rhs.eval_borrowed(row, ctx)?.truthiness();
             return Ok(match (l, r) {
                 (_, Some(false)) => Value::from(false),
                 (Some(true), Some(true)) => Value::from(true),
@@ -722,11 +739,11 @@ fn eval_binary(
             });
         }
         BinOp::Or => {
-            let l = lhs.eval_ctx(row, ctx)?.truthiness();
+            let l = lhs.eval_borrowed(row, ctx)?.truthiness();
             if l == Some(true) {
                 return Ok(Value::from(true));
             }
-            let r = rhs.eval_ctx(row, ctx)?.truthiness();
+            let r = rhs.eval_borrowed(row, ctx)?.truthiness();
             return Ok(match (l, r) {
                 (_, Some(true)) => Value::from(true),
                 (Some(false), Some(false)) => Value::from(false),
@@ -735,8 +752,8 @@ fn eval_binary(
         }
         _ => {}
     }
-    let l = lhs.eval_ctx(row, ctx)?;
-    let r = rhs.eval_ctx(row, ctx)?;
+    let l = lhs.eval_borrowed(row, ctx)?;
+    let r = rhs.eval_borrowed(row, ctx)?;
     use std::cmp::Ordering::*;
     let cmp_to_value = |want: &[std::cmp::Ordering]| match l.sql_cmp(&r) {
         None => Value::Null,

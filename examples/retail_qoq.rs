@@ -60,7 +60,7 @@ fn main() {
     );
     let retail = sem_filter(
         &engine,
-        &names,
+        names,
         "account_name",
         &SemClaim::CompanyInVertical {
             vertical: "retail".into(),

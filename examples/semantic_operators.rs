@@ -26,7 +26,7 @@ fn main() {
     for v in top5.column("Title").unwrap() {
         println!("  - {v}");
     }
-    let ranked = sem_topk(&engine, &top5, "Title", SemProperty::Technical, 5).unwrap();
+    let ranked = sem_topk(&engine, top5, "Title", SemProperty::Technical, 5).unwrap();
     println!("\nsem_topk (most technical first):");
     for v in ranked.column("Title").unwrap() {
         println!("  - {v}");
@@ -40,7 +40,7 @@ fn main() {
         .unwrap();
     let sarcastic = sem_filter(
         &engine,
-        &first_post,
+        first_post.clone(),
         "Text",
         &SemClaim::Property(SemProperty::Sarcastic),
     )

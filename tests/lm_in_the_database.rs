@@ -65,7 +65,7 @@ fn semantic_operator_over_sql_result() {
     );
     let sarcastic = sem_filter(
         &engine,
-        &df,
+        df.clone(),
         "Text",
         &SemClaim::Property(SemProperty::Sarcastic),
     )

@@ -22,9 +22,9 @@
 //! 4. **`row-ratchet`** — `Vec<Row>` occurrences inside the columnar
 //!    executor files ([`CHUNK_PATHS`]) are counted per file and
 //!    ratcheted like rule 1 (baseline keys carry a `vec-row:` prefix).
-//!    The chunked operators must stay columnar end to end; the
+//!    The columnar operators must stay columnar end to end; the
 //!    baseline covers only the executor's row-boundary API (plan
-//!    entry/exit and delegation to the serial scans), and any new
+//!    entry/exit and a `VALUES` leaf's literal rows), and any new
 //!    intermediate row materialization fails the build.
 //! 5. **`tagenv-ratchet`** — direct `TagEnv::new(` construction in
 //!    non-test code anywhere under `crates/serve/src/` is counted per
@@ -50,8 +50,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Hot-path files covered by the unwrap ratchet (rule 1) and the lock
-/// rule (rule 3): the serve request path, the sqlengine executor, and
-/// the shard scatter-gather path.
+/// rule (rule 3): the serve request path, the sqlengine executor (the
+/// columnar operators, their chunks, kernels and morsel pool, and the
+/// reference executor), and the shard scatter-gather path.
 pub const HOT_PATHS: &[&str] = &[
     "crates/serve/src/batch.rs",
     "crates/serve/src/cache.rs",
@@ -61,11 +62,15 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/serve/src/trace.rs",
     "crates/shard/src/coordinator.rs",
     "crates/shard/src/lib.rs",
+    "crates/sqlengine/src/chunk.rs",
+    "crates/sqlengine/src/chunk_exec.rs",
     "crates/sqlengine/src/engine.rs",
     "crates/sqlengine/src/exec.rs",
+    "crates/sqlengine/src/morsel.rs",
     "crates/sqlengine/src/plancache.rs",
     "crates/sqlengine/src/profile.rs",
     "crates/sqlengine/src/semplan.rs",
+    "crates/sqlengine/src/vector.rs",
 ];
 
 /// Columnar-executor files covered by the `Vec<Row>` ratchet (rule 4):

@@ -1,78 +1,32 @@
-//! `scale-bench` — the million-row scale sweep gating the chunked
+//! `scale-bench` — the million-row scale sweep of the columnar
 //! executor.
 //!
-//! Two halves:
-//!
-//! 1. **Byte-identity replay.** The full TAG-Bench workload — 80
-//!    queries × 5 methods — runs on two identically-seeded harnesses,
-//!    one executing relational plans through the serial row-at-a-time
-//!    path, one through the columnar chunked executor
-//!    (`ExecPolicy::chunked`). Every answer must match exactly; any
-//!    divergence is a correctness bug, not a tolerance. Runs at the
-//!    `small` and `standard` generation scales.
-//!
-//! 2. **Throughput sweep.** Per-operator rows/s over the `schools`
-//!    domain at three tiers (small / standard / huge = 10⁶ rows,
-//!    generated through the bulk fast path), serial vs chunked with 1
-//!    and 8 workers, plus the scan→filter→aggregate pipeline the
-//!    acceptance gate measures. Results for every arm are compared
-//!    row-for-row against the serial baseline.
+//! Per-operator rows/s over the `schools` domain at three tiers (small /
+//! standard / huge = 10⁶ rows, generated through the bulk fast path):
+//! the row-at-a-time reference executor
+//! (`tag_sql::exec::reference_query`, the "serial" arm) against the
+//! columnar executor with 1 and 8 workers, plus the
+//! scan→filter→aggregate pipeline the acceptance gate measures. Every
+//! columnar arm's rows are compared row-for-row against the reference.
+//! The 80×5 benchmark's own statements are checked against the
+//! reference by `crates/bench/tests/trace_replay.rs`.
 //!
 //! Output goes to `BENCH_scale.json`. Exit is non-zero on any mismatch,
 //! or (full mode) when the huge-tier pipeline speedup at 8 workers
 //! falls under the `--threshold` multiplier (default 3×).
 //!
-//! `--smoke` keeps CI fast: standard-scale replay + standard-tier
-//! sweep, byte-identity enforced, the speedup gate skipped.
+//! `--smoke` keeps CI fast: the standard-tier sweep only, byte-identity
+//! enforced, the speedup gate skipped.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
-use tag_bench::{Harness, MethodId};
 use tag_datagen::{schools, Scale};
-use tag_lm::sim::SimConfig;
-use tag_sql::{Database, ExecPolicy};
+use tag_sql::exec::reference_query;
+use tag_sql::{Database, ExecPolicy, ResultSet, SqlResult};
 
 fn usage() -> ! {
     eprintln!("usage: scale-bench [--seed N] [--rounds N] [--threshold X] [--json PATH] [--smoke]");
     std::process::exit(2);
-}
-
-/// Replay the 80×5 benchmark on serial vs chunked harnesses; returns
-/// (outcomes compared, mismatches).
-fn replay_identity(seed: u64, scale: Scale, workers: usize) -> (usize, usize) {
-    let serial = Harness::new(seed, scale, SimConfig::default());
-    let chunked = Harness::new(seed, scale, SimConfig::default());
-    let mut domains: Vec<&'static str> = chunked.queries().iter().map(|q| q.domain).collect();
-    domains.sort_unstable();
-    domains.dedup();
-    for d in &domains {
-        chunked
-            .env(d)
-            .db
-            .set_exec_policy(ExecPolicy::chunked(workers));
-    }
-    let methods = MethodId::all();
-    let key = |o: &tag_bench::Outcome| (o.query_id, o.method.label());
-    let baseline: HashMap<_, String> = serial
-        .run_all(&methods)
-        .iter()
-        .map(|o| (key(o), format!("{:?}", o.answer)))
-        .collect();
-    let candidate = chunked.run_all(&methods);
-    let mut mismatches = 0;
-    for o in &candidate {
-        if baseline.get(&key(o)) != Some(&format!("{:?}", o.answer)) {
-            mismatches += 1;
-            eprintln!(
-                "MISMATCH query {} method {}: {:?}",
-                o.query_id,
-                o.method.label(),
-                o.answer
-            );
-        }
-    }
-    (candidate.len(), mismatches)
 }
 
 struct OpSpec {
@@ -116,14 +70,19 @@ const OPS: &[OpSpec] = &[
     },
 ];
 
-/// Minimum wall seconds over `rounds` runs of `sql` (answers returned
-/// once for identity checks).
-fn time_query(db: &Database, sql: &str, rounds: usize) -> (f64, Vec<Vec<tag_sql::Value>>) {
+/// Minimum wall seconds over `rounds` runs of `sql` through `run`
+/// (answers returned once for identity checks).
+fn time_query(
+    db: &Database,
+    sql: &str,
+    rounds: usize,
+    run: fn(&Database, &str) -> SqlResult<ResultSet>,
+) -> (f64, Vec<Vec<tag_sql::Value>>) {
     let mut best = f64::INFINITY;
     let mut rows = Vec::new();
     for _ in 0..rounds.max(1) {
         let started = Instant::now();
-        let rs = db.query(sql).expect("bench query");
+        let rs = run(db, sql).expect("bench query");
         let wall = started.elapsed().as_secs_f64();
         if wall < best {
             best = wall;
@@ -148,12 +107,11 @@ fn sweep_tier(seed: u64, n: usize, rounds: usize) -> Vec<OpResult> {
     let basis = n as f64;
     let mut out = Vec::new();
     for op in OPS {
-        db.set_exec_policy(ExecPolicy::default());
-        let (serial_s, serial_rows) = time_query(&db, op.sql, rounds);
-        db.set_exec_policy(ExecPolicy::chunked(1));
-        let (w1_s, w1_rows) = time_query(&db, op.sql, rounds);
-        db.set_exec_policy(ExecPolicy::chunked(8));
-        let (w8_s, w8_rows) = time_query(&db, op.sql, rounds);
+        let (serial_s, serial_rows) = time_query(&db, op.sql, rounds, reference_query);
+        db.set_exec_policy(ExecPolicy::with_workers(1));
+        let (w1_s, w1_rows) = time_query(&db, op.sql, rounds, Database::query);
+        db.set_exec_policy(ExecPolicy::with_workers(8));
+        let (w8_s, w8_rows) = time_query(&db, op.sql, rounds, Database::query);
         let mismatches = usize::from(w1_rows != serial_rows) + usize::from(w8_rows != serial_rows);
         if mismatches > 0 {
             eprintln!("MISMATCH op {} at n={n}", op.name);
@@ -203,26 +161,7 @@ fn main() {
         }
     }
 
-    // Replay scales: the byte-identity half of the gate.
-    let replay_scales: &[(&str, Scale)] = if smoke {
-        &[("standard", Scale::default())][..]
-    } else {
-        &[("small", Scale::small()), ("standard", Scale::default())][..]
-    };
-    let mut replay_json = String::new();
     let mut total_mismatches = 0usize;
-    for (name, scale) in replay_scales {
-        eprintln!("replaying 80x5 benchmark at scale {name} (serial vs chunked)...");
-        let (outcomes, mismatches) = replay_identity(seed, *scale, 8);
-        total_mismatches += mismatches;
-        let _ = write!(
-            replay_json,
-            "{}{{\"scale\":\"{name}\",\"outcomes\":{outcomes},\"mismatches\":{mismatches}}}",
-            if replay_json.is_empty() { "" } else { "," },
-        );
-        eprintln!("  {outcomes} outcomes, {mismatches} mismatches");
-    }
-
     // Throughput tiers.
     let tiers: &[(&str, usize)] = if smoke {
         &[("standard", Scale::default().schools)][..]
@@ -271,7 +210,7 @@ fn main() {
     let gate_ok = smoke || gate_speedup >= threshold;
     let json = format!(
         "{{\"bench\":\"scale-bench\",\"seed\":{seed},\"smoke\":{smoke},\"rounds\":{rounds},\
-         \"replay\":[{replay_json}],\"tiers\":[{tiers_json}],\
+         \"tiers\":[{tiers_json}],\
          \"gate\":{{\"pipeline\":\"scan_filter_aggregate\",\"tier\":\"huge\",\"workers\":8,\
          \"threshold\":{threshold},\"speedup\":{},\"passed\":{}}},\
          \"total_mismatches\":{total_mismatches}}}",

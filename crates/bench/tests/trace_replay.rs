@@ -1,9 +1,16 @@
 //! Tracing is observation only: replaying the whole benchmark with a
 //! trace active must produce byte-identical answers to the untraced
-//! serial baseline, and every captured span tree must be well-formed.
+//! baseline, and every captured span tree must be well-formed.
+//!
+//! The same replay checks the SQL engine against its reference: every
+//! statement the 80×5 workload ran (the traced `sql: …` annotations,
+//! which record the text verbatim) must give the same rows, or the same
+//! error text, from the row-at-a-time reference executor as from
+//! `Database::query`.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use tag_bench::{Harness, MethodId};
+use tag_sql::exec::reference_query;
 use tag_trace::{SpanRecord, Stage, Trace};
 
 /// Direct children must fit inside their parent: each child's wall time
@@ -50,14 +57,23 @@ fn assert_well_formed(spans: &[SpanRecord]) {
     assert_durations_nest(spans);
 }
 
-#[test]
-fn traced_benchmark_replay_is_byte_identical_and_well_formed() {
-    let harness = Harness::small();
-    let ids: Vec<usize> = harness.queries().iter().map(|q| q.id).collect();
-    assert_eq!(ids.len(), 80, "TAG-Bench is 80 queries");
+/// Fold a statement's rows or error text to a comparable string.
+fn fold(result: tag_sql::SqlResult<tag_sql::ResultSet>) -> Result<String, String> {
+    result
+        .map(|rs| format!("{:?} {:?}", rs.columns, rs.rows))
+        .map_err(|e| e.to_string())
+}
+
+/// Replay 80 queries × 5 methods traced and untraced; returns the total
+/// span count and every distinct `(domain, SQL text)` the replay ran.
+fn traced_replay(harness: &Harness) -> (usize, BTreeSet<(&'static str, String)>) {
+    let queries: Vec<(usize, &'static str)> =
+        harness.queries().iter().map(|q| (q.id, q.domain)).collect();
+    assert_eq!(queries.len(), 80, "TAG-Bench is 80 queries");
     let mut total_spans = 0usize;
+    let mut statements = BTreeSet::new();
     for method in MethodId::all() {
-        for &id in &ids {
+        for &(id, domain) in &queries {
             let baseline = harness.run_one(method, id);
             let (trace, sink) = Trace::memory();
             let traced = tag_trace::with_trace(&trace, || {
@@ -74,10 +90,48 @@ fn traced_benchmark_replay_is_byte_identical_and_well_formed() {
             let spans = sink.take();
             assert_well_formed(&spans);
             total_spans += spans.len();
+            for s in spans.iter().filter(|s| s.label == "sql") {
+                for sql in s.annotations.iter().filter_map(|a| a.strip_prefix("sql: ")) {
+                    statements.insert((domain, sql.to_owned()));
+                }
+            }
         }
     }
+    (total_spans, statements)
+}
+
+/// Every statement gives the reference executor's rows or error text.
+fn assert_matches_reference(harness: &Harness, statements: &BTreeSet<(&'static str, String)>) {
+    let mut failed = 0usize;
+    for (domain, sql) in statements {
+        let db = &harness.env(domain).db;
+        let reference = fold(reference_query(db, sql));
+        let served = fold(db.query(sql));
+        assert_eq!(served, reference, "{domain}: {sql}");
+        failed += usize::from(reference.is_err());
+    }
+    assert!(
+        failed < statements.len(),
+        "every one of the {failed} statements failed"
+    );
+}
+
+#[test]
+fn traced_benchmark_replay_is_byte_identical_and_well_formed() {
+    let harness = Harness::small();
+    let (total_spans, statements) = traced_replay(&harness);
     assert!(
         total_spans > 400,
         "spans were actually captured: {total_spans}"
     );
+    assert!(statements.len() > 100, "{} statements", statements.len());
+    assert_matches_reference(&harness, &statements);
+}
+
+#[test]
+fn standard_scale_statements_match_the_reference_executor() {
+    let harness = Harness::standard();
+    let (_, statements) = traced_replay(&harness);
+    assert!(statements.len() > 100, "{} statements", statements.len());
+    assert_matches_reference(&harness, &statements);
 }

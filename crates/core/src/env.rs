@@ -176,7 +176,8 @@ impl TagEnv {
     /// Run a read-only SQL statement through the domain database.
     ///
     /// When a [`tag_trace::Trace`] is active on this thread, the statement
-    /// runs inside an `exec`-stage span annotated with the SQL text, an
+    /// runs inside an `exec`-stage span annotated with the SQL text
+    /// verbatim (`sql: …`, so a trace's statements can be re-run), an
     /// `EXPLAIN ANALYZE`-style per-operator breakdown (rows in/out +
     /// elapsed per plan node), and a `plan_cache: hit|miss` line. When
     /// tracing is off this is exactly [`Database::query`] — both paths
@@ -187,10 +188,7 @@ impl TagEnv {
             return self.db.query(sql);
         }
         let _span = tag_trace::span(tag_trace::Stage::Exec, "sql");
-        tag_trace::annotate(format!(
-            "sql: {}",
-            sql.split_whitespace().collect::<Vec<_>>().join(" ")
-        ));
+        tag_trace::annotate(format!("sql: {sql}"));
         match self.db.query_profiled(sql) {
             Ok((rs, plan_text)) => {
                 for line in plan_text.lines() {

@@ -4,10 +4,13 @@
 //! servers: one with the metrics hub enabled (windowed histograms,
 //! collectors, exemplar capture, tail-sampled traces), one with the
 //! null registry (`--no-metrics`: inactive instruments, one branch per
-//! touch). Arms are *interleaved* — A, B, A, B, … — and each arm's
-//! wall-clock is the **minimum** over its rounds, so ambient machine
-//! noise (first-toucher page faults, turbo ramps) hits both arms
-//! symmetrically instead of whichever ran first.
+//! touch). Each round starts a fresh server per arm and replays the
+//! whole workload on it; the two arms of a round run back to back, in
+//! alternating order (A B, B A, A B, …), so machine noise that drifts
+//! over seconds (turbo ramps, neighbours on a shared host) hits both
+//! arms of a round alike. The overhead is the **median over rounds of
+//! each round's paired ratio** — robust to the outlier rounds a
+//! minimum-of-N comparison between independently noisy arms is not.
 //!
 //! Answers from both arms are compared request-for-request: telemetry
 //! must never change a result. The run is written to `BENCH_obs.json`
@@ -115,7 +118,7 @@ fn replay(
 fn main() {
     let mut seed = 42u64;
     let mut scale_name = "tiny".to_owned();
-    let mut method = MethodName::HandWritten;
+    let mut methods = vec![MethodName::HandWritten];
     let mut clients = 4usize;
     let mut rounds = 5usize;
     let mut threshold_pct = 2.0f64;
@@ -126,15 +129,20 @@ fn main() {
         match flag.as_str() {
             "--seed" => seed = val().parse().unwrap_or_else(|_| usage()),
             "--scale" => scale_name = val(),
-            "--method" => method = MethodName::parse(&val()).unwrap_or_else(|| usage()),
+            "--method" => methods = vec![MethodName::parse(&val()).unwrap_or_else(|| usage())],
             "--concurrency" => clients = val().parse().unwrap_or_else(|_| usage()),
             "--rounds" => rounds = val().parse::<usize>().unwrap_or_else(|_| usage()).max(1),
             "--threshold" => threshold_pct = val().parse().unwrap_or_else(|_| usage()),
             "--json" => json_path = val(),
-            // CI preset: tiny data, fewer rounds, still a real A/B.
+            // CI preset: tiny data, every method (400 requests per
+            // arm), one client (several clients on a 2-vCPU runner
+            // measure the scheduler, doubling the per-round spread),
+            // and enough rounds for the paired median to resolve 2%.
             "--smoke" => {
                 scale_name = "tiny".to_owned();
-                rounds = 3;
+                methods = MethodName::all().to_vec();
+                clients = 1;
+                rounds = 30;
             }
             _ => usage(),
         }
@@ -145,12 +153,14 @@ fn main() {
     let domains = generate_all(seed, scale);
     let queries = build_benchmark(&domains);
     let workload: Arc<Vec<WorkItem>> = Arc::new(
-        queries
+        methods
             .iter()
-            .map(|q| WorkItem {
-                domain: q.domain,
-                method,
-                question: q.question(),
+            .flat_map(|&method| {
+                queries.iter().map(move |q| WorkItem {
+                    domain: q.domain,
+                    method,
+                    question: q.question(),
+                })
             })
             .collect(),
     );
@@ -178,7 +188,12 @@ fn main() {
     let mut mismatches = 0usize;
     let mut reference: Option<Vec<Answer>> = None;
     for round in 0..rounds {
-        for metrics_enabled in [true, false] {
+        let order = if round % 2 == 0 {
+            [true, false]
+        } else {
+            [false, true]
+        };
+        for metrics_enabled in order {
             let server = start_server(metrics_enabled);
             let (wall, answers) = replay(&server, &workload, clients);
             match &reference {
@@ -208,11 +223,24 @@ fn main() {
     let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
     let best_enabled = min(&wall_enabled);
     let best_noop = min(&wall_noop);
-    let overhead_pct = (best_enabled / best_noop.max(f64::MIN_POSITIVE) - 1.0) * 100.0;
+    let mut ratios: Vec<f64> = wall_enabled
+        .iter()
+        .zip(&wall_noop)
+        .map(|(on, off)| on / off.max(f64::MIN_POSITIVE))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    let median_ratio = if ratios.len() % 2 == 1 {
+        ratios[mid]
+    } else {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    };
+    let overhead_pct = (median_ratio - 1.0) * 100.0;
     let pass = overhead_pct <= threshold_pct && mismatches == 0;
     println!(
-        "obs-bench: enabled {best_enabled:.3}s vs noop {best_noop:.3}s -> overhead {overhead_pct:+.2}% \
-         (threshold {threshold_pct:.1}%), answers {}",
+        "obs-bench: median paired overhead {overhead_pct:+.2}% over {rounds} rounds \
+         (threshold {threshold_pct:.1}%; best enabled {best_enabled:.3}s vs noop {best_noop:.3}s), \
+         answers {}",
         if mismatches == 0 {
             "identical".to_owned()
         } else {
@@ -222,11 +250,15 @@ fn main() {
 
     let json = format!(
         "{{\"bench\":\"obs-bench\",\"seed\":{seed},\"scale\":\"{scale_name}\",\
-         \"method\":\"{}\",\"requests\":{},\"concurrency\":{clients},\"rounds\":{rounds},\
+         \"methods\":\"{}\",\"requests\":{},\"concurrency\":{clients},\"rounds\":{rounds},\
          \"wall_enabled_s\":{best_enabled:.4},\"wall_noop_s\":{best_noop:.4},\
          \"overhead_pct\":{overhead_pct:.3},\"threshold_pct\":{threshold_pct:.1},\
          \"mismatches\":{mismatches},\"pass\":{pass}}}\n",
-        method.as_str(),
+        methods
+            .iter()
+            .map(|m| m.as_str())
+            .collect::<Vec<_>>()
+            .join(","),
         workload.len(),
     );
     match std::fs::write(&json_path, &json) {

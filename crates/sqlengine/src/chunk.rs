@@ -1,4 +1,4 @@
-//! Columnar chunks: the unit of data flow in the chunked executor.
+//! Columnar chunks: the unit of data flow in the columnar executor.
 //!
 //! A [`Chunk`] holds one typed vector per column ([`ColumnData`]) with
 //! an explicit validity mask, replacing `Vec<Row>` between operators.
@@ -11,7 +11,7 @@
 //!
 //! A [`Batch`] is a morsel-sized view over a shared chunk: either a
 //! contiguous row range (zero-copy table scans) or an explicit row-id
-//! selection (filter survivors). Operators exchange batches; rows are
+//! selection (filter survivors, index probe results). Operators exchange batches; rows are
 //! only materialized at the executor boundary.
 
 use crate::schema::Row;
@@ -382,19 +382,6 @@ impl Chunk {
         Chunk { columns, len }
     }
 
-    /// An empty chunk of the given width (zero rows).
-    pub fn empty(width: usize) -> Chunk {
-        Chunk {
-            columns: (0..width)
-                .map(|_| ColumnData::Int {
-                    values: Vec::new(),
-                    validity: Vec::new(),
-                })
-                .collect(),
-            len: 0,
-        }
-    }
-
     /// Transpose rows into a chunk (lossless; see module docs).
     pub fn from_rows(width: usize, rows: &[Row]) -> Chunk {
         let mut cols: Vec<Vec<Value>> =
@@ -425,11 +412,6 @@ impl Chunk {
         self.columns.len()
     }
 
-    /// The columns.
-    pub fn columns(&self) -> &[ColumnData] {
-        &self.columns
-    }
-
     /// One column by position.
     pub fn column(&self, i: usize) -> &ColumnData {
         &self.columns[i]
@@ -451,7 +433,8 @@ impl Chunk {
 pub enum Rows {
     /// A contiguous range `[start, end)`.
     Range(usize, usize),
-    /// An explicit ascending-by-construction row-id list.
+    /// An explicit row-id list, in output order (ascending for filter
+    /// survivors, probe order for index leaves).
     Ids(Vec<u32>),
 }
 
@@ -582,15 +565,6 @@ impl Batch {
         }
         out
     }
-
-    /// Compact the view into an owned chunk (copies survivors only).
-    pub fn compact(&self) -> Chunk {
-        Chunk::new(
-            (0..self.width())
-                .map(|c| self.gather_column(c))
-                .collect::<Vec<_>>(),
-        )
-    }
 }
 
 /// Flatten batches into rows (boundary with the row-at-a-time world).
@@ -693,9 +667,6 @@ mod tests {
         let col = sel.gather_column(2);
         assert_eq!(col.value_at(0), Value::Float(2.5));
         assert!(!col.is_null(1));
-        let compacted = sel.compact();
-        assert_eq!(compacted.len(), 2);
-        assert_eq!(compacted.value_at(1, 1), Value::text("a"));
     }
 
     #[test]

@@ -1,24 +1,28 @@
-//! Columnar chunked executor with morsel-driven parallelism.
+//! The SQL engine's executor: columnar, with morsel-driven parallelism.
 //!
-//! The drop-in alternative to [`crate::exec`]: the same [`Plan`] trees,
-//! byte-identical results, but operators exchange [`Batch`]es of typed
-//! column vectors instead of `Vec<Row>`, and per-batch work is
-//! distributed over a morsel worker pool ([`crate::morsel`]).
+//! Every statement [`crate::Database`] runs — plain, profiled, scattered
+//! subplans and subqueries — executes here. Operators exchange
+//! [`Batch`]es of typed column vectors instead of `Vec<Row>`, and
+//! per-batch work is distributed over a morsel worker pool
+//! ([`crate::morsel`]). The row-at-a-time [`crate::exec`] executor runs
+//! the same [`Plan`] trees and is kept as the reference the parity tests
+//! compare against.
 //!
 //! # Shape
 //!
 //! Table scans split the table's cached columnar chunk
 //! ([`crate::table::Table::columnar`]) into morsel-sized zero-copy
-//! `Range` batches; every downstream operator treats *batches as the
-//! unit of parallelism* (filter narrows them, project rebuilds them,
-//! aggregate folds per-batch partials). Operators run one at a time,
-//! bottom-up — exactly the serial executor's operator order — with
+//! `Range` batches; index probes and range scans select their row ids
+//! from the same chunk, in probe order. Every downstream operator treats
+//! *batches as the unit of parallelism* (filter narrows them, project
+//! rebuilds them, aggregate folds per-batch partials). Operators run one
+//! at a time, bottom-up — the reference executor's operator order — with
 //! parallelism *inside* each operator.
 //!
 //! # Determinism contract
 //!
-//! Results are byte-identical to the serial row-at-a-time executor for
-//! every worker count and morsel size:
+//! Results are byte-identical to the reference executor for every worker
+//! count and morsel size:
 //!
 //! - [`crate::morsel::parallel_map`] returns per-batch results in batch
 //!   order; every merge folds them in that order.
@@ -26,69 +30,55 @@
 //!   the public scatter-gather partials — fed with global row seqs, so
 //!   COUNT/MIN/MAX merge exactly and order-sensitive states
 //!   (SUM/TOTAL/AVG/GROUP_CONCAT and all DISTINCT aggregates) replay
-//!   through the serial [`AggState`] in seq order; float
+//!   through the reference [`AggState`] in seq order; float
 //!   non-associativity and integer-overflow promotion can never
 //!   reorder. Group output order is first-seen under the morsel-order
-//!   merge — the serial order.
+//!   merge — the reference order.
 //! - The parallel sort orders by `(key, global seq)` — a total order
-//!   equal to the serial stable sort (see
+//!   equal to the reference stable sort (see
 //!   [`crate::exec::compare_keys`]'s ordering contract).
 //! - Hash-join build inserts right rows in global row order; probe
 //!   preserves left order per batch.
-//! - Errors: the lowest-indexed failing batch wins, and inside a batch
-//!   the kernel falls back to a row-major serial replay of the same
-//!   work to reproduce the exact error the serial executor would
-//!   raise first.
+//! - Errors: the lowest-indexed failing batch wins. Inside a batch, a
+//!   kernel that made at most one fallible row pass
+//!   ([`crate::vector::column_passes`]) already failed on the first
+//!   failing row, after exactly the calls the reference makes; otherwise
+//!   the kernel replays the batch row-major to raise the error the
+//!   reference would raise first.
 
 use crate::ast::JoinKind;
 use crate::catalog::Catalog;
 use crate::chunk::{batches_len, batches_to_rows, concat_batches_chunk, Batch, Chunk, ColumnData};
 use crate::error::{SqlError, SqlResult};
-use crate::exec::{aggregate_rows, compare_keys, eval_keys, AggState};
+use crate::exec::{aggregate_rows, compare_keys, eval_keys, index_leaf, is_identity, AggState};
 use crate::expr::{BoundExpr, EvalCtx};
 use crate::metrics::ExecMetrics;
-use crate::morsel::{collect_ordered, parallel_map, ExecPolicy, NoObserver, PoolObserver};
+use crate::morsel::{parallel_map, ExecPolicy, NoObserver, PoolObserver};
 use crate::partial::PartialAgg;
 use crate::plan::{AggCall, Plan, SortKey};
 use crate::profile::{node_label, PlanProfiler};
 use crate::schema::Row;
 use crate::value::Value;
+use crate::vector::column_passes;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Execute a plan through the chunked executor, producing the same rows
-/// as [`crate::exec::execute`].
-pub fn execute_chunked(
+/// Execute a plan, producing materialized rows. `metrics` receives the
+/// per-morsel instruments and pool occupancy; `profiler` times every
+/// node on the calling thread (the profiler is not `Sync`, so each
+/// node's elapsed time covers its full parallel fan-out).
+pub fn execute(
     plan: &Plan,
     catalog: &Catalog,
     policy: ExecPolicy,
     metrics: Option<&ExecMetrics>,
+    profiler: Option<&PlanProfiler>,
 ) -> SqlResult<Vec<Row>> {
     let ctx = ChunkCtx {
         catalog,
         policy,
         metrics,
-        prof: None,
-    };
-    Ok(batches_to_rows(&ctx.exec_node(plan)?))
-}
-
-/// Execute with per-node profiling (main-thread only: the profiler is
-/// not `Sync`, so nodes are timed at operator granularity — each node's
-/// elapsed time covers its full parallel fan-out, like the serial path
-/// covers its full loop).
-pub fn execute_chunked_profiled(
-    plan: &Plan,
-    catalog: &Catalog,
-    policy: ExecPolicy,
-    metrics: Option<&ExecMetrics>,
-    profiler: &PlanProfiler,
-) -> SqlResult<Vec<Row>> {
-    let ctx = ChunkCtx {
-        catalog,
-        policy,
-        metrics,
-        prof: Some(profiler),
+        prof: profiler,
     };
     Ok(batches_to_rows(&ctx.exec_node(plan)?))
 }
@@ -123,7 +113,9 @@ impl<'a> ChunkCtx<'a> {
         tasks: usize,
         f: impl Fn(usize) -> SqlResult<T> + Sync,
     ) -> SqlResult<Vec<T>> {
-        collect_ordered(parallel_map(tasks, self.policy.workers, self.observer(), f))
+        parallel_map(tasks, self.policy.workers, self.observer(), f)
+            .into_iter()
+            .collect()
     }
 
     fn note(&self, op: &str, batches: &[Batch]) {
@@ -155,21 +147,46 @@ impl<'a> ChunkCtx<'a> {
                 self.note("TableScan", &batches);
                 Ok(batches)
             }
-            // Leaf operators without vectorized kernels delegate to the
-            // serial executor (they are index probes and literal rows —
-            // tiny cardinalities by construction).
-            Plan::IndexProbe { .. } | Plan::IndexRangeScan { .. } | Plan::Values { .. } => {
-                let rows = crate::exec::execute(plan, self.catalog)?;
-                Ok(vec![Batch::from_rows(plan.width(), &rows)])
+            Plan::IndexProbe { .. } | Plan::IndexRangeScan { .. } => {
+                let (t, ids) = index_leaf(plan, self.catalog)?;
+                let chunk = t.columnar();
+                let ids: Vec<u32> = ids.into_iter().map(|id| id as u32).collect();
+                let batches: Vec<Batch> = self
+                    .policy
+                    .morsels(ids.len())
+                    .into_iter()
+                    .map(|(s, e)| Batch::select(Arc::clone(&chunk), ids[s..e].to_vec()))
+                    .collect();
+                let op = match plan {
+                    Plan::IndexProbe { .. } => "IndexProbe",
+                    _ => "IndexRangeScan",
+                };
+                self.note(op, &batches);
+                Ok(batches)
+            }
+            Plan::Values { rows, .. } => {
+                let ctx = self.eval();
+                let rows = rows
+                    .iter()
+                    .map(|exprs| exprs.iter().map(|e| e.eval_ctx(&[], &ctx)).collect())
+                    .collect::<SqlResult<Vec<Row>>>()?;
+                let out = if rows.is_empty() {
+                    Vec::new()
+                } else {
+                    vec![Batch::from_rows(plan.width(), &rows)]
+                };
+                self.note("Values", &out);
+                Ok(out)
             }
             Plan::Filter { input, predicate } => {
                 let batches = self.exec_node(input)?;
                 let ctx = self.eval();
+                let passes = crate::vector::mask_passes(predicate);
                 let out = self.fan(batches.len(), |i| {
                     let b = &batches[i];
                     match crate::vector::eval_filter(predicate, b, &ctx) {
                         Ok(keep) => Ok(b.narrow(&keep)),
-                        Err(e) => Err(exact_row_error(b, e, |row| {
+                        Err(e) => Err(first_row_error(b, e, passes, |row| {
                             predicate.eval_predicate_ctx(row, &ctx).map(|_| ())
                         })),
                     }
@@ -180,7 +197,12 @@ impl<'a> ChunkCtx<'a> {
             }
             Plan::Project { input, exprs, .. } => {
                 let batches = self.exec_node(input)?;
+                if is_identity(exprs, batches.iter().map(Batch::width)) {
+                    self.note("Project", &batches);
+                    return Ok(batches);
+                }
                 let ctx = self.eval();
+                let passes = exprs.iter().map(column_passes).sum();
                 let out = self.fan(batches.len(), |i| {
                     let b = &batches[i];
                     let cols: SqlResult<Vec<ColumnData>> = exprs
@@ -194,7 +216,7 @@ impl<'a> ChunkCtx<'a> {
                             Ok(Batch::from_rows(0, &vec![Vec::new(); b.len()]))
                         }
                         Ok(cols) => Ok(Batch::owned(Chunk::new(cols))),
-                        Err(e) => Err(exact_row_error(b, e, |row| {
+                        Err(e) => Err(first_row_error(b, e, passes, |row| {
                             for e in exprs {
                                 e.eval_ctx(row, &ctx)?;
                             }
@@ -260,7 +282,7 @@ impl<'a> ChunkCtx<'a> {
                 let batches = self.exec_node(input)?;
                 // Local first-occurrence pass per batch (parallel), then
                 // a sequential cross-batch dedup in batch order — the
-                // serial first-occurrence order.
+                // reference first-occurrence order.
                 let locals = self.fan(batches.len(), |i| {
                     let b = &batches[i];
                     let mut seen = std::collections::HashSet::with_capacity(b.len());
@@ -316,20 +338,23 @@ impl<'a> ChunkCtx<'a> {
             bases.push(base);
             base += b.len() as u64;
         }
-        let locals = match self.fan(batches.len(), |i| {
-            local_aggregate(&batches[i], bases[i], group, aggs, &ctx)
-        }) {
-            Ok(locals) => locals,
-            // Exact serial error: replay the whole aggregate row-wise.
-            Err(_) => {
-                let rows = batches_to_rows(&batches);
-                return aggregate_rows(&rows, group, aggs, &ctx)
-                    .map(|_| unreachable!("serial replay of a failing aggregate must fail"));
+        // An accumulator error (SUM over text) may precede the first
+        // evaluation error in row order, so a failing aggregate replays
+        // whole, row-wise, through the reference accumulators.
+        let replay_error = |kernel_err: SqlError| -> SqlError {
+            match aggregate_rows(&batches_to_rows(&batches), group, aggs, &ctx) {
+                Err(e) => e,
+                Ok(_) => kernel_err,
             }
         };
+        let locals = self
+            .fan(batches.len(), |i| {
+                local_aggregate(&batches[i], bases[i], group, aggs, &ctx)
+            })
+            .map_err(replay_error)?;
 
         // Morsel-order merge: first-seen group order and first-seen
-        // representative keys, exactly like the serial single pass.
+        // representative keys, exactly like the reference single pass.
         let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
         let mut keys: Vec<Vec<Value>> = Vec::new();
         let mut states: Vec<Vec<PartialAgg>> = Vec::new();
@@ -369,17 +394,9 @@ impl<'a> ChunkCtx<'a> {
                 columns[c].push(v);
             }
             for (i, (p, a)) in partials.into_iter().zip(aggs).enumerate() {
-                match p.finish(a) {
-                    Ok(v) => columns[group.len() + i].push(v),
-                    // Finish-time errors (e.g. SUM over non-numeric
-                    // values) replay serially for the exact error.
-                    Err(_) => {
-                        let rows = batches_to_rows(&batches);
-                        return aggregate_rows(&rows, group, aggs, &ctx).map(|_| {
-                            unreachable!("serial replay of a failing aggregate must fail")
-                        });
-                    }
-                }
+                // Finish-time errors (e.g. SUM over non-numeric values)
+                // replay for the exact error.
+                columns[group.len() + i].push(p.finish(a).map_err(replay_error)?);
             }
         }
         let out = if columns.first().map(Vec::len).unwrap_or(0) == 0 && width > 0 {
@@ -408,7 +425,7 @@ impl<'a> ChunkCtx<'a> {
         let ctx = self.eval();
 
         // Build side: key columns evaluated per batch in parallel, then
-        // a sequential insert pass in global row order — the serial
+        // a sequential insert pass in global row order — the reference
         // build order, so duplicate-key chains match exactly.
         let right_chunk = concat_batches_chunk(&right_b, rw);
         let right_keys = {
@@ -417,9 +434,8 @@ impl<'a> ChunkCtx<'a> {
             let cols = self.fan(ranges.len(), |i| {
                 let (s, e) = ranges[i];
                 let view = whole.slice_local(s, e);
-                crate::vector::eval_column(right_key, &view, &ctx).map_err(|err| {
-                    exact_row_error(&view, err, |row| right_key.eval_ctx(row, &ctx).map(|_| ()))
-                })
+                // One expression, one pass: its error is already exact.
+                crate::vector::eval_column(right_key, &view, &ctx)
             })?;
             ColumnData::concat(cols)
         };
@@ -488,7 +504,7 @@ impl<'a> ChunkCtx<'a> {
 
         let out = self.fan(left_b.len(), |bi| {
             let b = &left_b[bi];
-            // Row-major within the batch — the serial loop order, so
+            // Row-major within the batch — the reference loop order, so
             // predicate errors surface identically.
             let mut pairs: Vec<(u32, Option<u32>)> = Vec::new();
             let mut combined: Row = Vec::with_capacity(lw + rw);
@@ -541,7 +557,7 @@ impl<'a> ChunkCtx<'a> {
         let keyed = self.fan(batches.len(), |i| sort_keys_for(&batches[i], keys, &ctx))?;
         // (key, batch, local): the (batch, local) pair is the global
         // input sequence, making the comparison a total order equal to
-        // the serial stable sort (compare_keys contract).
+        // the reference stable sort (compare_keys contract).
         let mut entries: Vec<(Vec<Value>, u32, u32)> = Vec::with_capacity(batches_len(&batches));
         for (bi, batch_keys) in keyed.into_iter().enumerate() {
             for (local, key) in batch_keys.into_iter().enumerate() {
@@ -644,7 +660,7 @@ impl<'a> ChunkCtx<'a> {
 }
 
 /// Evaluate sort keys for every row of a batch, falling back to a
-/// row-major replay on error so the error matches the serial path.
+/// row-major replay on error so the error matches the reference.
 fn sort_keys_for(batch: &Batch, keys: &[SortKey], ctx: &EvalCtx<'_>) -> SqlResult<Vec<Vec<Value>>> {
     let cols: SqlResult<Vec<ColumnData>> = keys
         .iter()
@@ -653,9 +669,10 @@ fn sort_keys_for(batch: &Batch, keys: &[SortKey], ctx: &EvalCtx<'_>) -> SqlResul
     let cols = match cols {
         Ok(cols) => cols,
         Err(e) => {
-            return Err(exact_row_error(batch, e, |row| {
+            let passes = keys.iter().map(|k| column_passes(&k.expr)).sum();
+            return Err(first_row_error(batch, e, passes, |row| {
                 eval_keys(row, keys, ctx).map(|_| ())
-            }))
+            }));
         }
     };
     Ok((0..batch.len())
@@ -678,9 +695,10 @@ fn probe_batch(
     let keys = match crate::vector::eval_column(left_key, batch, ctx) {
         Ok(keys) => keys,
         Err(e) => {
-            // Row-major replay: the serial path interleaves key and
-            // residual evaluation, so reproduce that order exactly.
-            return Err(exact_row_error(batch, e, |row| {
+            // The reference interleaves key and residual evaluation, so
+            // a fallible residual forces a row-major replay.
+            let passes = 1 + residual.map_or(0, column_passes);
+            return Err(first_row_error(batch, e, passes, |row| {
                 let key = left_key.eval_ctx(row, ctx)?;
                 if let (false, Some(pred)) = (key.is_null(), residual) {
                     if let Some(ids) = table.get(&key) {
@@ -767,8 +785,13 @@ fn local_aggregate(
         Ok(v) => v,
         Err(e) => {
             // Row-major replay (group exprs then agg args per row) for
-            // the exact serial error.
-            return Err(exact_row_error(batch, e, |row| {
+            // the exact reference error.
+            let passes = group
+                .iter()
+                .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+                .map(column_passes)
+                .sum();
+            return Err(first_row_error(batch, e, passes, |row| {
                 for g in group {
                     g.eval_ctx(row, ctx)?;
                 }
@@ -883,15 +906,21 @@ fn local_aggregate(
     Ok(local)
 }
 
-/// Reproduce the exact error the serial executor would raise first for
-/// this batch: replay the rows in order through `row_try` and return
-/// its first error. Falls back to the kernel's own error if the replay
-/// unexpectedly succeeds (it cannot, but never panic on an error path).
-fn exact_row_error(
+/// The error the reference executor would raise first for this batch.
+/// A kernel that made at most one fallible row pass stopped at the first
+/// failing row, so its own error is that error. Otherwise the rows are
+/// replayed in order through `row_try` and its first error returned,
+/// falling back to the kernel's own error if the replay unexpectedly
+/// succeeds (it cannot, but never panic on an error path).
+fn first_row_error(
     batch: &Batch,
     kernel_err: SqlError,
+    passes: usize,
     row_try: impl Fn(&Row) -> SqlResult<()>,
 ) -> SqlError {
+    if passes <= 1 {
+        return kernel_err;
+    }
     for local in 0..batch.len() {
         let row: Row = (0..batch.width())
             .map(|c| batch.value_at(local, c))

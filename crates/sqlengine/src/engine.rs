@@ -2,9 +2,8 @@
 
 use crate::ast::{ColumnDef, InsertStmt, Statement};
 use crate::catalog::Catalog;
-use crate::chunk_exec::{execute_chunked, execute_chunked_profiled};
+use crate::chunk_exec;
 use crate::error::{SqlError, SqlResult};
-use crate::exec::{execute, execute_profiled};
 use crate::metrics::ExecMetrics;
 use crate::morsel::{ExecPolicy, DEFAULT_MORSEL_ROWS};
 use crate::optimizer::optimize;
@@ -21,7 +20,7 @@ use crate::semplan::SemNode;
 use crate::table::{IndexKind, Table};
 use crate::udf::{ScalarUdf, UdfRegistry};
 use crate::value::Value;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Renders `EXPLAIN SEMPLAN <question>` output. Registered by the
@@ -98,14 +97,13 @@ pub struct Database {
     semplan_explainer: HookSlot<SemPlanExplainFn>,
     /// Registered `EXPLAIN VERIFY` renderer (the static verifier).
     semplan_verifier: HookSlot<SemPlanVerifyFn>,
-    /// Per-operator metrics sink, installed once by the serving
-    /// runtime; profiled queries feed it, plain queries never touch it.
+    /// Metrics sink, installed once by the serving runtime: every
+    /// statement feeds its per-morsel instruments, profiled queries also
+    /// their per-operator ones.
     exec_metrics: std::sync::OnceLock<Arc<ExecMetrics>>,
     /// Execution policy, stored as atomics so read-only `query()` can
-    /// consult (and embedders can flip) it under a shared borrow.
-    /// Defaults decode as the serial row-at-a-time path (see
-    /// [`Database::exec_policy`]).
-    exec_chunked: AtomicBool,
+    /// consult (and embedders can change) it under a shared borrow
+    /// (see [`Database::exec_policy`]).
     exec_workers: AtomicUsize,
     exec_morsel_rows: AtomicUsize,
     /// Registered scatter-gather executor (see [`crate::scatter`]).
@@ -129,7 +127,6 @@ impl Clone for Database {
             // Clones share the sink: instruments are per-operator-kind
             // aggregates, not per-handle state.
             exec_metrics: self.exec_metrics.clone(),
-            exec_chunked: AtomicBool::new(self.exec_chunked.load(Ordering::Relaxed)),
             exec_workers: AtomicUsize::new(self.exec_workers.load(Ordering::Relaxed)),
             exec_morsel_rows: AtomicUsize::new(self.exec_morsel_rows.load(Ordering::Relaxed)),
             scatter: self.scatter.clone(),
@@ -181,22 +178,21 @@ impl Database {
         self.plan_cache.stats()
     }
 
-    /// Install a metrics hub: profiled queries
-    /// ([`Database::query_profiled`]) then feed per-operator counters
-    /// and windowed latency histograms (see [`crate::metrics`]). First
+    /// Install a metrics hub: every statement then feeds the executor's
+    /// per-morsel instruments, and profiled queries
+    /// ([`Database::query_profiled`]) also per-operator counters and
+    /// windowed latency histograms (see [`crate::metrics`]). First
     /// install wins. Takes `&self` like the other engine hooks so a
     /// shared handle can be instrumented after construction.
     pub fn install_metrics_hub(&self, hub: Arc<tag_metrics::MetricsHub>) {
         let _ = self.exec_metrics.set(Arc::new(ExecMetrics::new(hub)));
     }
 
-    /// Set how relational plans execute: the serial row-at-a-time path
-    /// (the default and reference semantics) or the columnar chunked
-    /// executor with morsel-driven parallelism. Takes `&self` so a
-    /// shared handle can flip paths (e.g. for an A/B sweep); results
-    /// are byte-identical either way — see [`crate::chunk_exec`].
+    /// Set the columnar executor's morsel size and worker count. Takes
+    /// `&self` so a shared handle can be resized (e.g. for a worker
+    /// sweep); results are byte-identical at every setting — see
+    /// [`crate::chunk_exec`].
     pub fn set_exec_policy(&self, policy: ExecPolicy) {
-        self.exec_chunked.store(policy.chunked, Ordering::Relaxed);
         self.exec_workers
             .store(policy.workers.max(1), Ordering::Relaxed);
         self.exec_morsel_rows
@@ -204,12 +200,11 @@ impl Database {
     }
 
     /// The current execution policy (zero-valued atomics decode as the
-    /// defaults: serial, 1 worker, [`DEFAULT_MORSEL_ROWS`]).
+    /// defaults: 1 worker, [`DEFAULT_MORSEL_ROWS`]).
     pub fn exec_policy(&self) -> ExecPolicy {
         let workers = self.exec_workers.load(Ordering::Relaxed);
         let morsel_rows = self.exec_morsel_rows.load(Ordering::Relaxed);
         ExecPolicy {
-            chunked: self.exec_chunked.load(Ordering::Relaxed),
             workers: workers.max(1),
             morsel_rows: if morsel_rows == 0 {
                 DEFAULT_MORSEL_ROWS
@@ -230,23 +225,22 @@ impl Database {
         self.execute_plan_local(plan)
     }
 
-    /// Run one optimized plan through the configured local executor,
-    /// bypassing any registered scatter hook. Scatter executors call
-    /// this on the coordinator database to run rewritten
-    /// (partition-free) plans, and on shard databases to run scattered
-    /// subplans.
+    /// Run one optimized plan through the columnar executor, bypassing
+    /// any registered scatter hook. Scatter executors call this on the
+    /// coordinator database to run rewritten (partition-free) plans, and
+    /// on shard databases to run scattered subplans.
     pub fn execute_plan_local(&self, plan: &Plan) -> SqlResult<Vec<Row>> {
-        let policy = self.exec_policy();
-        if policy.chunked {
-            execute_chunked(
-                plan,
-                &self.catalog,
-                policy,
-                self.exec_metrics.get().map(Arc::as_ref),
-            )
-        } else {
-            execute(plan, &self.catalog)
-        }
+        self.execute_local(plan, None)
+    }
+
+    fn execute_local(&self, plan: &Plan, profiler: Option<&PlanProfiler>) -> SqlResult<Vec<Row>> {
+        chunk_exec::execute(
+            plan,
+            &self.catalog,
+            self.exec_policy(),
+            self.exec_metrics.get().map(Arc::as_ref),
+            profiler,
+        )
     }
 
     /// Register a scatter-gather executor. Every subsequent plan
@@ -304,7 +298,7 @@ impl Database {
         }
         let (cached, _hit) = self.plan_for(sql)?;
         self.statements_run.fetch_add(1, Ordering::Relaxed);
-        self.execute_cached(&cached)
+        run_arms(&cached, |arm| self.run_plan(&arm.plan))
     }
 
     /// Execute an already-parsed read-only statement under `&self`.
@@ -320,7 +314,7 @@ impl Database {
         }
         self.statements_run.fetch_add(1, Ordering::Relaxed);
         let cached = self.plan_statement(&stmt)?;
-        self.execute_cached(&cached)
+        run_arms(&cached, |arm| self.run_plan(&arm.plan))
     }
 
     /// Like [`Database::query`], but also returns an `EXPLAIN ANALYZE`-
@@ -332,63 +326,42 @@ impl Database {
     pub fn query_profiled(&self, sql: &str) -> SqlResult<(ResultSet, String)> {
         let (cached, hit) = self.plan_for(sql)?;
         self.statements_run.fetch_add(1, Ordering::Relaxed);
-        let mut acc: Option<ResultSet> = None;
         let mut text = String::new();
-        let policy = self.exec_policy();
+        let mut first = true;
         let scatter = self.scatter.get();
-        for arm in &cached.arms {
+        let rs = run_arms(&cached, |arm| {
             let profiler = PlanProfiler::new();
-            let scattered = scatter.as_ref().filter(|s| s.handles(&arm.plan));
-            let rows = if let Some(scatter) = scattered {
+            let rows = match scatter.as_ref().filter(|s| s.handles(&arm.plan)) {
                 // Scatter-gather executes across shard databases the
                 // profiler cannot see into; record the whole arm as one
                 // coordinator-side node.
-                let token = profiler.enter("ScatterGather".to_string());
-                let rows = scatter.execute(&arm.plan, self)?;
-                profiler.exit(token, rows.len());
-                rows
-            } else if policy.chunked {
-                execute_chunked_profiled(
-                    &arm.plan,
-                    &self.catalog,
-                    policy,
-                    self.exec_metrics.get().map(Arc::as_ref),
-                    &profiler,
-                )?
-            } else {
-                execute_profiled(&arm.plan, &self.catalog, &profiler)?
+                Some(scatter) => {
+                    let token = profiler.enter("ScatterGather".to_string());
+                    let rows = scatter.execute(&arm.plan, self)?;
+                    profiler.exit(token, rows.len());
+                    rows
+                }
+                None => self.execute_local(&arm.plan, Some(&profiler))?,
             };
             if let Some(sink) = self.exec_metrics.get() {
                 sink.record(&profiler.nodes());
             }
-            match &mut acc {
-                None => acc = Some(ResultSet::new(arm.columns.clone(), rows)),
-                Some(acc) => {
-                    text.push_str(if arm.union_all {
-                        "UNION ALL\n"
-                    } else {
-                        "UNION\n"
-                    });
-                    acc.rows.extend(rows);
-                    if !arm.union_all {
-                        let mut seen = std::collections::HashSet::new();
-                        acc.rows.retain(|r| seen.insert(r.clone()));
-                    }
-                }
+            if !std::mem::take(&mut first) {
+                text.push_str(if arm.union_all {
+                    "UNION ALL\n"
+                } else {
+                    "UNION\n"
+                });
             }
             text.push_str(&profiler.render());
-        }
+            Ok(rows)
+        })?;
         text.push_str(if hit {
             "plan_cache: hit"
         } else {
             "plan_cache: miss"
         });
-        match acc {
-            Some(rs) => Ok((rs, text)),
-            // The planner never caches an empty arm list; refuse rather
-            // than panic if that invariant ever breaks.
-            None => Err(SqlError::Unsupported("cached plan has no arms".into())),
-        }
+        Ok((rs, text))
     }
 
     /// Fetch the cached plan for `sql`, or parse + bind + optimize and
@@ -416,7 +389,7 @@ impl Database {
     /// Bind + optimize every arm of a SELECT / compound SELECT. Arm
     /// widths are validated here so a cached compound plan can never
     /// reach execution with mismatched arms.
-    fn plan_statement(&self, stmt: &Statement) -> SqlResult<CachedPlan> {
+    pub(crate) fn plan_statement(&self, stmt: &Statement) -> SqlResult<CachedPlan> {
         let plan_arm = |sel: &crate::ast::SelectStmt| -> SqlResult<CachedArm> {
             let planner = Planner::new(&self.catalog, &self.udfs);
             let plan = planner.plan_select(sel)?;
@@ -454,26 +427,6 @@ impl Database {
         }
     }
 
-    /// Run every arm of a cached plan and combine with UNION semantics
-    /// (plain UNION dedups the accumulated result, SQLite-style).
-    fn execute_cached(&self, cached: &CachedPlan) -> SqlResult<ResultSet> {
-        let mut acc: Option<ResultSet> = None;
-        for arm in &cached.arms {
-            let rows = self.run_plan(&arm.plan)?;
-            match &mut acc {
-                None => acc = Some(ResultSet::new(arm.columns.clone(), rows)),
-                Some(acc) => {
-                    acc.rows.extend(rows);
-                    if !arm.union_all {
-                        let mut seen = std::collections::HashSet::new();
-                        acc.rows.retain(|r| seen.insert(r.clone()));
-                    }
-                }
-            }
-        }
-        acc.ok_or_else(|| SqlError::Unsupported("cached plan has no arms".into()))
-    }
-
     /// Run several semicolon-separated statements; returns the last result.
     pub fn execute_script(&mut self, sql: &str) -> SqlResult<ResultSet> {
         let stmts = parse_statements(sql)?;
@@ -486,13 +439,10 @@ impl Database {
 
     /// Plan a SELECT and return its optimized plan (EXPLAIN support).
     pub fn explain(&self, sql: &str) -> SqlResult<String> {
-        let stmt = parse_statement(sql)?;
-        match stmt {
-            Statement::Select(sel) => {
-                let planner = Planner::new(&self.catalog, &self.udfs);
-                let plan = planner.plan_select(&sel)?;
-                let plan = optimize(plan, &self.catalog);
-                Ok(plan.explain())
+        match parse_statement(sql)? {
+            stmt @ Statement::Select(_) => {
+                let plan = self.plan_statement(&stmt)?;
+                Ok(plan.arms.iter().map(|arm| arm.plan.explain()).collect())
             }
             _ => Err(SqlError::Unsupported(
                 "EXPLAIN is only available for SELECT".into(),
@@ -820,6 +770,32 @@ impl Database {
             ))
         })
     }
+}
+
+/// Run every arm of a plan through `run` and combine with UNION
+/// semantics (plain UNION dedups the accumulated result,
+/// SQLite-style).
+pub(crate) fn run_arms(
+    cached: &CachedPlan,
+    mut run: impl FnMut(&CachedArm) -> SqlResult<Vec<Row>>,
+) -> SqlResult<ResultSet> {
+    let mut acc: Option<ResultSet> = None;
+    for arm in &cached.arms {
+        let rows = run(arm)?;
+        match &mut acc {
+            None => acc = Some(ResultSet::new(arm.columns.clone(), rows)),
+            Some(acc) => {
+                acc.rows.extend(rows);
+                if !arm.union_all {
+                    let mut seen = std::collections::HashSet::new();
+                    acc.rows.retain(|r| seen.insert(r.clone()));
+                }
+            }
+        }
+    }
+    // The planner never builds an empty arm list; refuse rather than
+    // panic if that invariant ever breaks.
+    acc.ok_or_else(|| SqlError::Unsupported("cached plan has no arms".into()))
 }
 
 /// Case-insensitive keyword prefix match: returns the text after the
@@ -1350,11 +1326,8 @@ mod tests {
     }
 
     #[test]
-    fn chunked_policy_is_byte_identical_and_survives_dml() {
-        let mut serial = db();
-        let mut chunked = db();
-        chunked.set_exec_policy(ExecPolicy::chunked(8));
-        assert!(chunked.exec_policy().chunked);
+    fn columnar_matches_reference_at_every_policy_and_survives_dml() {
+        let mut db = db();
         let queries = [
             "SELECT * FROM schools",
             "SELECT City, COUNT(*) AS n FROM schools GROUP BY City ORDER BY n DESC, City",
@@ -1362,24 +1335,28 @@ mod tests {
              WHERE s.CDSCode < t.CDSCode",
             "SELECT City FROM schools ORDER BY Longitude LIMIT 2",
             "SELECT DISTINCT City FROM schools",
+            "SELECT City FROM schools WHERE CDSCode = 2",
+            "SELECT City FROM schools WHERE CDSCode > 1 AND CDSCode <= 3",
         ];
-        for sql in queries {
-            let a = serial.query(sql).unwrap();
-            let b = chunked.query(sql).unwrap();
-            assert_eq!(a.rows, b.rows, "{sql}");
-            let (bp, _) = chunked.query_profiled(sql).unwrap();
-            assert_eq!(a.rows, bp.rows, "profiled {sql}");
+        for policy in [ExecPolicy::default(), ExecPolicy::with_workers(8)] {
+            db.set_exec_policy(policy);
+            assert_eq!(db.exec_policy(), policy);
+            for sql in queries {
+                let want = crate::exec::reference_query(&db, sql).unwrap();
+                assert_eq!(want.rows, db.query(sql).unwrap().rows, "{sql}");
+                let (profiled, _) = db.query_profiled(sql).unwrap();
+                assert_eq!(want.rows, profiled.rows, "profiled {sql}");
+            }
         }
         // DML through the engine invalidates the columnar cache too.
-        for db in [&mut serial, &mut chunked] {
-            db.execute("UPDATE schools SET City = 'Fresno' WHERE CDSCode = 1")
-                .unwrap();
-        }
+        db.execute("UPDATE schools SET City = 'Fresno' WHERE CDSCode = 1")
+            .unwrap();
         let sql = "SELECT City, COUNT(*) FROM schools GROUP BY City ORDER BY City";
         assert_eq!(
-            serial.query(sql).unwrap().rows,
-            chunked.query(sql).unwrap().rows
+            crate::exec::reference_query(&db, sql).unwrap().rows,
+            db.query(sql).unwrap().rows
         );
+        assert_eq!(db.query(sql).unwrap().rows[0][1], Value::Int(2));
     }
 
     #[test]

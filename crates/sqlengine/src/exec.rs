@@ -1,9 +1,13 @@
-//! Plan execution.
+//! The row-at-a-time reference executor.
 //!
-//! Operators materialize their outputs bottom-up. For an in-memory
-//! analytic engine at TAG-Bench scale (tables of 10²–10⁴ rows) this is
-//! both simpler and faster than a tuple-at-a-time volcano loop: each
-//! operator runs as a tight loop over a [`RowSet`].
+//! Statements execute through the columnar executor
+//! ([`crate::chunk_exec`]). This module runs the same [`Plan`] trees one
+//! row at a time, operator by operator, and is kept as the oracle the
+//! parity tests and `scale-bench` compare against ([`reference_query`]).
+//! Its accumulators ([`AggState`], [`aggregate_rows`]) and sort-key
+//! helpers ([`compare_keys`], [`eval_keys`]) are shared with the
+//! columnar executor, which replays through them where byte identity
+//! needs the row order.
 //!
 //! # Row ownership
 //!
@@ -16,11 +20,14 @@
 
 use crate::ast::JoinKind;
 use crate::catalog::Catalog;
+use crate::engine::Database;
 use crate::error::{SqlError, SqlResult};
 use crate::expr::{BoundExpr, EvalCtx};
+use crate::parser::parse_statement;
 use crate::plan::{AggCall, AggFunc, Plan, SortKey};
-use crate::profile::{node_label, PlanProfiler};
+use crate::result::ResultSet;
 use crate::schema::Row;
+use crate::table::{Table, TableIndex};
 use crate::value::Value;
 use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
@@ -32,47 +39,18 @@ type RowSet<'a> = Vec<Cow<'a, Row>>;
 
 /// Execute a plan against a catalog, producing materialized rows.
 pub fn execute(plan: &Plan, catalog: &Catalog) -> SqlResult<Vec<Row>> {
-    exec_node(plan, catalog, None).map(materialize)
+    exec_node(plan, catalog).map(|rows| rows.into_iter().map(Cow::into_owned).collect())
 }
 
-/// Execute a plan with per-node profiling. Runs exactly the same code
-/// path as [`execute`] — the profiler only observes rows and time — so
-/// profiled and unprofiled results are always identical.
-pub fn execute_profiled(
-    plan: &Plan,
-    catalog: &Catalog,
-    profiler: &PlanProfiler,
-) -> SqlResult<Vec<Row>> {
-    exec_node(plan, catalog, Some(profiler)).map(materialize)
+/// Answer a read-only statement the way [`Database::query`] does, but
+/// through this reference executor: planned without the plan cache, run
+/// without any scatter executor, compound arms combined identically.
+pub fn reference_query(db: &Database, sql: &str) -> SqlResult<ResultSet> {
+    let plan = db.plan_statement(&parse_statement(sql)?)?;
+    crate::engine::run_arms(&plan, |arm| execute(&arm.plan, db.catalog()))
 }
 
-/// The statement's one materialization: borrowed rows are copied out of
-/// storage, created rows move.
-fn materialize(rows: RowSet<'_>) -> Vec<Row> {
-    rows.into_iter().map(Cow::into_owned).collect()
-}
-
-/// Recursion point: every operator's children come back through here so
-/// each node is individually timed when a profiler is attached.
-fn exec_node<'a>(
-    plan: &Plan,
-    catalog: &'a Catalog,
-    prof: Option<&PlanProfiler>,
-) -> SqlResult<RowSet<'a>> {
-    let Some(p) = prof else {
-        return exec_impl(plan, catalog, None);
-    };
-    let token = p.enter(node_label(plan));
-    let result = exec_impl(plan, catalog, prof);
-    p.exit(token, result.as_ref().map(Vec::len).unwrap_or(0));
-    result
-}
-
-fn exec_impl<'a>(
-    plan: &Plan,
-    catalog: &'a Catalog,
-    prof: Option<&PlanProfiler>,
-) -> SqlResult<RowSet<'a>> {
+fn exec_node<'a>(plan: &Plan, catalog: &'a Catalog) -> SqlResult<RowSet<'a>> {
     let ctx = EvalCtx {
         catalog: Some(catalog),
     };
@@ -83,41 +61,8 @@ fn exec_impl<'a>(
             .iter()
             .map(Cow::Borrowed)
             .collect()),
-        Plan::IndexProbe {
-            table,
-            key_column,
-            key,
-            ..
-        } => {
-            let t = catalog.table(table)?;
-            let idx = t.index_on(*key_column).ok_or_else(|| {
-                SqlError::Eval(format!(
-                    "plan references missing index on {table} col#{key_column}"
-                ))
-            })?;
-            Ok(idx
-                .probe(key)
-                .into_iter()
-                .map(|id| Cow::Borrowed(t.row(id)))
-                .collect())
-        }
-        Plan::IndexRangeScan {
-            table,
-            key_column,
-            range,
-            ..
-        } => {
-            let t = catalog.table(table)?;
-            let idx = t.index_on(*key_column).ok_or_else(|| {
-                SqlError::Eval(format!(
-                    "plan references missing index on {table} col#{key_column}"
-                ))
-            })?;
-            let low = bound_as_ref(&range.low);
-            let high = bound_as_ref(&range.high);
-            let ids = idx
-                .probe_range(low, high)
-                .ok_or_else(|| SqlError::Eval("range scan requires a B-tree index".into()))?;
+        Plan::IndexProbe { .. } | Plan::IndexRangeScan { .. } => {
+            let (t, ids) = index_leaf(plan, catalog)?;
             Ok(ids.into_iter().map(|id| Cow::Borrowed(t.row(id))).collect())
         }
         Plan::Values { rows, .. } => rows
@@ -131,7 +76,7 @@ fn exec_impl<'a>(
             })
             .collect(),
         Plan::Filter { input, predicate } => {
-            let rows = exec_node(input, catalog, prof)?;
+            let rows = exec_node(input, catalog)?;
             let mut out = Vec::with_capacity(rows.len() / 2);
             for row in rows {
                 if predicate.eval_predicate_ctx(&row, &ctx)? {
@@ -141,8 +86,8 @@ fn exec_impl<'a>(
             Ok(out)
         }
         Plan::Project { input, exprs, .. } => {
-            let rows = exec_node(input, catalog, prof)?;
-            if is_identity(exprs, &rows) {
+            let rows = exec_node(input, catalog)?;
+            if is_identity(exprs, rows.iter().map(|r| r.len())) {
                 return Ok(rows);
             }
             let mut out = Vec::with_capacity(rows.len());
@@ -160,7 +105,7 @@ fn exec_impl<'a>(
             right,
             kind,
             on,
-        } => nested_loop_join(left, right, *kind, on.as_ref(), catalog, prof),
+        } => nested_loop_join(left, right, *kind, on.as_ref(), catalog),
         Plan::HashJoin {
             left,
             right,
@@ -176,17 +121,16 @@ fn exec_impl<'a>(
             right_key,
             residual.as_ref(),
             catalog,
-            prof,
         ),
         Plan::Aggregate {
             input, group, aggs, ..
         } => {
-            let rows = exec_node(input, catalog, prof)?;
+            let rows = exec_node(input, catalog)?;
             let out = aggregate_rows(&rows, group, aggs, &ctx)?;
             Ok(out.into_iter().map(Cow::Owned).collect())
         }
         Plan::Sort { input, keys } => {
-            let mut rows = exec_node(input, catalog, prof)?;
+            let mut rows = exec_node(input, catalog)?;
             sort_rows(&mut rows, keys, &ctx)?;
             Ok(rows)
         }
@@ -196,7 +140,7 @@ fn exec_impl<'a>(
             k,
             offset,
         } => {
-            let rows = exec_node(input, catalog, prof)?;
+            let rows = exec_node(input, catalog)?;
             top_k(rows, keys, *k, *offset, &ctx)
         }
         Plan::Limit {
@@ -204,7 +148,7 @@ fn exec_impl<'a>(
             limit,
             offset,
         } => {
-            let mut rows = exec_node(input, catalog, prof)?;
+            let mut rows = exec_node(input, catalog)?;
             let start = (*offset as usize).min(rows.len());
             let end = match limit {
                 Some(l) => (start + *l as usize).min(rows.len()),
@@ -215,7 +159,7 @@ fn exec_impl<'a>(
             Ok(rows)
         }
         Plan::Distinct { input } => {
-            let mut rows = exec_node(input, catalog, prof)?;
+            let mut rows = exec_node(input, catalog)?;
             let first_seen: Vec<bool> = {
                 let mut seen = std::collections::HashSet::with_capacity(rows.len());
                 rows.iter().map(|row| seen.insert(&**row)).collect()
@@ -232,24 +176,61 @@ fn exec_impl<'a>(
     }
 }
 
-/// True when projecting `rows` through `exprs` would reproduce every row
-/// unchanged (`SELECT *` and friends): `exprs` is `#0, #1, …, #n-1` and
-/// every row has exactly `n` values. Such a projection passes its input
-/// through instead of copying it.
-fn is_identity(exprs: &[BoundExpr], rows: &[Cow<'_, Row>]) -> bool {
+/// The table an index leaf (`IndexProbe`/`IndexRangeScan`) reads and
+/// its row ids, in probe order. Shared with the columnar executor.
+pub(crate) fn index_leaf<'a>(
+    plan: &Plan,
+    catalog: &'a Catalog,
+) -> SqlResult<(&'a Table, Vec<usize>)> {
+    let index = |table: &str, column: usize| -> SqlResult<(&'a Table, &'a TableIndex)> {
+        let t = catalog.table(table)?;
+        let idx = t.index_on(column).ok_or_else(|| {
+            SqlError::Eval(format!(
+                "plan references missing index on {table} col#{column}"
+            ))
+        })?;
+        Ok((t, idx))
+    };
+    match plan {
+        Plan::IndexProbe {
+            table,
+            key_column,
+            key,
+            ..
+        } => {
+            let (t, idx) = index(table, *key_column)?;
+            Ok((t, idx.probe(key)))
+        }
+        Plan::IndexRangeScan {
+            table,
+            key_column,
+            range,
+            ..
+        } => {
+            let (t, idx) = index(table, *key_column)?;
+            let ids = idx
+                .probe_range(range.low.as_ref(), range.high.as_ref())
+                .ok_or_else(|| SqlError::Eval("range scan requires a B-tree index".into()))?;
+            Ok((t, ids))
+        }
+        _ => Err(SqlError::Eval(format!(
+            "{} is not an index leaf",
+            crate::profile::node_label(plan)
+        ))),
+    }
+}
+
+/// True when projecting rows of the given widths through `exprs` would
+/// reproduce every row unchanged (`SELECT *` and friends): `exprs` is
+/// `#0, #1, …, #n-1` and every row has exactly `n` values. Such a
+/// projection passes its input through instead of copying it (in both
+/// executors).
+pub(crate) fn is_identity(exprs: &[BoundExpr], mut widths: impl Iterator<Item = usize>) -> bool {
     exprs
         .iter()
         .enumerate()
         .all(|(i, e)| matches!(e, BoundExpr::ColumnRef(j) if *j == i))
-        && rows.iter().all(|r| r.len() == exprs.len())
-}
-
-fn bound_as_ref(b: &std::ops::Bound<Value>) -> std::ops::Bound<&Value> {
-    match b {
-        std::ops::Bound::Included(v) => std::ops::Bound::Included(v),
-        std::ops::Bound::Excluded(v) => std::ops::Bound::Excluded(v),
-        std::ops::Bound::Unbounded => std::ops::Bound::Unbounded,
-    }
+        && widths.all(|w| w == exprs.len())
 }
 
 fn nested_loop_join<'a>(
@@ -258,10 +239,9 @@ fn nested_loop_join<'a>(
     kind: JoinKind,
     on: Option<&BoundExpr>,
     catalog: &'a Catalog,
-    prof: Option<&PlanProfiler>,
 ) -> SqlResult<RowSet<'a>> {
-    let left_rows = exec_node(left, catalog, prof)?;
-    let right_rows = exec_node(right, catalog, prof)?;
+    let left_rows = exec_node(left, catalog)?;
+    let right_rows = exec_node(right, catalog)?;
     let right_width = right.width();
     let ctx = EvalCtx {
         catalog: Some(catalog),
@@ -290,7 +270,6 @@ fn nested_loop_join<'a>(
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn hash_join<'a>(
     left: &Plan,
     right: &Plan,
@@ -299,10 +278,9 @@ fn hash_join<'a>(
     right_key: &BoundExpr,
     residual: Option<&BoundExpr>,
     catalog: &'a Catalog,
-    prof: Option<&PlanProfiler>,
 ) -> SqlResult<RowSet<'a>> {
-    let left_rows = exec_node(left, catalog, prof)?;
-    let right_rows = exec_node(right, catalog, prof)?;
+    let left_rows = exec_node(left, catalog)?;
+    let right_rows = exec_node(right, catalog)?;
     let right_width = right.width();
     let ctx = EvalCtx {
         catalog: Some(catalog),
@@ -355,7 +333,7 @@ fn null_extended(left: Cow<'_, Row>, width: usize) -> Row {
     row
 }
 
-/// Accumulator for one aggregate call. Shared with the chunked executor
+/// Accumulator for one aggregate call. Shared with the columnar executor
 /// (`crate::chunk_exec`), whose per-morsel partial aggregates feed the
 /// same state machine so results stay byte-identical.
 #[derive(Debug, Clone)]
@@ -463,8 +441,8 @@ impl AggState {
     }
 }
 
-/// Row-level aggregation, split out so the chunked executor can replay
-/// the exact serial semantics (including error order) on its inputs.
+/// Row-level aggregation, split out so the columnar executor can replay
+/// the exact reference semantics (including error order) on its inputs.
 pub(crate) fn aggregate_rows<R: Borrow<Row>>(
     rows: &[R],
     group: &[BoundExpr],
@@ -553,7 +531,7 @@ pub(crate) fn aggregate_rows<R: Borrow<Row>>(
 ///   (`(key, seq)`), which is what makes `TopK` byte-identical to
 ///   `Sort + Limit` at every `k`/`offset` split point.
 ///
-/// The chunked executor (`crate::chunk_exec`) relies on this contract:
+/// The columnar executor (`crate::chunk_exec`) relies on this contract:
 /// its parallel sort/merge orders by `(key, global seq)` — a total
 /// order — so output bytes are independent of morsel boundaries and
 /// worker count. `sort_contract_regression` in this module's tests pins
@@ -819,7 +797,7 @@ mod tests {
     /// Pins the sort determinism contract: equal-key rows keep input
     /// order (ascending and descending), and TopK's `(key, seq)` heap
     /// ordering matches Sort + Limit across every offset split. The
-    /// chunked executor's parallel merge depends on this.
+    /// columnar executor's parallel merge depends on this.
     #[test]
     fn sort_contract_regression() {
         // Duplicate keys with distinct payloads so tie order is visible.

@@ -702,7 +702,8 @@ impl BoundExpr {
     }
 }
 
-/// Substitute the outer row into a correlated subplan and execute it.
+/// Substitute the outer row into a correlated subplan and execute it
+/// (columnar, default policy).
 fn run_correlated(
     plan: &crate::plan::Plan,
     outer_row: &[Value],
@@ -714,7 +715,7 @@ fn run_correlated(
         )
     })?;
     let bound = plan.substitute_outer(outer_row);
-    crate::exec::execute(&bound, catalog)
+    crate::chunk_exec::execute(&bound, catalog, Default::default(), None, None)
 }
 
 fn eval_binary(

@@ -11,7 +11,7 @@
 //! - `tag_sqlengine_operator_seconds{op=...}` (wall time *including*
 //!   children, matching the profiler's per-node semantics)
 //!
-//! The chunked executor ([`crate::chunk_exec`]) adds per-morsel
+//! The columnar executor ([`crate::chunk_exec`]) adds per-morsel
 //! instruments through the same sink:
 //!
 //! - `tag_sqlengine_exec_morsels_total{op=...}` (batches produced)
@@ -91,10 +91,10 @@ impl ExecMetrics {
             return;
         }
         let mut ops = self.morsel_ops.lock().unwrap_or_else(|e| e.into_inner());
-        let hub = &self.hub;
-        let inst = ops.entry(op.to_string()).or_insert_with(|| {
+        if !ops.contains_key(op) {
             let labels = [("op", op)];
-            MorselInstruments {
+            let hub = &self.hub;
+            let inst = MorselInstruments {
                 morsels: hub.counter(
                     "tag_sqlengine_exec_morsels_total",
                     "Batches produced by chunked operators, by operator kind.",
@@ -105,8 +105,11 @@ impl ExecMetrics {
                     "Rows per output batch of chunked operators (encoded 1 row = 1ms).",
                     &labels,
                 ),
-            }
-        });
+            };
+            ops.insert(op.to_string(), inst);
+        }
+        // Every statement records here: look up without allocating a key.
+        let Some(inst) = ops.get(op) else { return };
         for rows in batch_rows {
             inst.morsels.inc();
             inst.chunk_rows.observe(Duration::from_millis(rows as u64));

@@ -2,7 +2,7 @@
 //! worker pool.
 //!
 //! Scans are partitioned into fixed-size *morsels*
-//! ([`ExecPolicy::morsel_rows`] rows each); every chunked operator's
+//! ([`ExecPolicy::morsel_rows`] rows each); every columnar operator's
 //! per-morsel work is distributed over a pool of
 //! [`ExecPolicy::workers`] scoped threads pulling task indices from a
 //! shared counter (HyPer-style morsel dispatch). Results are collected
@@ -11,21 +11,20 @@
 //!
 //! Determinism contract: [`parallel_map`] returns results in task
 //! order, and callers must combine per-morsel partial results by a
-//! morsel-order merge. Error selection is deterministic too: the
-//! caller sees the error of the lowest-indexed failing task, matching
-//! what a serial left-to-right run would report at morsel granularity.
+//! morsel-order merge. Error selection is deterministic too: collecting
+//! the results stops at the lowest-indexed failing task, matching what a
+//! serial left-to-right run would report at morsel granularity.
 
 use crate::error::{SqlError, SqlResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// How the engine executes relational plans.
+/// How the columnar executor ([`crate::chunk_exec`]) spreads a plan's
+/// work. Every statement runs columnar; the policy only sizes the
+/// morsels and the pool, and results are byte-identical at every
+/// setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecPolicy {
-    /// Route relational plans through the columnar chunked executor.
-    /// Off by default: the serial row-at-a-time path stays the
-    /// reference semantics.
-    pub chunked: bool,
     /// Worker threads for morsel dispatch (1 = run inline).
     pub workers: usize,
     /// Rows per scan morsel.
@@ -35,7 +34,6 @@ pub struct ExecPolicy {
 impl Default for ExecPolicy {
     fn default() -> Self {
         ExecPolicy {
-            chunked: false,
             workers: 1,
             morsel_rows: DEFAULT_MORSEL_ROWS,
         }
@@ -48,11 +46,9 @@ impl Default for ExecPolicy {
 pub const DEFAULT_MORSEL_ROWS: usize = 8192;
 
 impl ExecPolicy {
-    /// A chunked policy with the given worker count and default morsel
-    /// size.
-    pub fn chunked(workers: usize) -> ExecPolicy {
+    /// A policy with the given worker count and default morsel size.
+    pub fn with_workers(workers: usize) -> ExecPolicy {
         ExecPolicy {
-            chunked: true,
             workers: workers.max(1),
             morsel_rows: DEFAULT_MORSEL_ROWS,
         }
@@ -137,17 +133,6 @@ where
         .collect()
 }
 
-/// Collapse ordered per-task results, surfacing the lowest-indexed
-/// error (the deterministic error the serial path would hit first at
-/// morsel granularity).
-pub fn collect_ordered<T>(results: Vec<SqlResult<T>>) -> SqlResult<Vec<T>> {
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        out.push(r?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,7 +140,6 @@ mod tests {
     #[test]
     fn morsel_partition_covers_range() {
         let p = ExecPolicy {
-            chunked: true,
             workers: 4,
             morsel_rows: 10,
         };
@@ -168,7 +152,7 @@ mod tests {
     fn parallel_map_preserves_task_order() {
         for workers in [1, 2, 8] {
             let results = parallel_map(100, workers, &NoObserver, |i| Ok(i * 2));
-            let vals = collect_ordered(results).unwrap();
+            let vals: Vec<usize> = results.into_iter().collect::<SqlResult<_>>().unwrap();
             assert_eq!(vals, (0..100).map(|i| i * 2).collect::<Vec<_>>());
         }
     }
@@ -183,7 +167,10 @@ mod tests {
                     Ok(i)
                 }
             });
-            let err = collect_ordered(results).unwrap_err();
+            let err = results
+                .into_iter()
+                .collect::<SqlResult<Vec<usize>>>()
+                .unwrap_err();
             assert_eq!(err.message(), "task 10");
         }
     }

@@ -10,7 +10,6 @@
 use crate::ast::{is_aggregate_name, Expr, Join, OrderKey, SelectItem, SelectStmt, TableRef};
 use crate::catalog::Catalog;
 use crate::error::{SqlError, SqlResult};
-use crate::exec::execute;
 use crate::expr::BoundExpr;
 use crate::plan::{AggCall, AggFunc, Plan, SortKey};
 use crate::udf::UdfRegistry;
@@ -912,10 +911,11 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Optimize and execute an already-planned uncorrelated subquery.
+    /// Optimize and execute an already-planned uncorrelated subquery
+    /// (columnar, default policy).
     fn run_plan(&self, plan: Plan) -> SqlResult<Vec<crate::schema::Row>> {
         let plan = crate::optimizer::optimize(plan, self.catalog);
-        execute(&plan, self.catalog)
+        crate::chunk_exec::execute(&plan, self.catalog, Default::default(), None, None)
     }
 }
 
@@ -1050,7 +1050,7 @@ mod tests {
         };
         let planner = Planner::new(catalog, udfs);
         let plan = planner.plan_select(&sel).unwrap();
-        execute(&plan, catalog).unwrap()
+        crate::exec::execute(&plan, catalog).unwrap()
     }
 
     #[test]

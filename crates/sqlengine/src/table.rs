@@ -71,7 +71,7 @@ pub struct Table {
     schema: Schema,
     rows: Vec<Row>,
     indexes: Vec<TableIndex>,
-    /// Lazily built columnar image of `rows` for the chunked executor;
+    /// Lazily built columnar image of `rows` for the columnar executor;
     /// invalidated by every mutation. Cloning the table clones the Arc,
     /// which stays valid because the rows are cloned identically.
     columnar: OnceLock<Arc<Chunk>>,

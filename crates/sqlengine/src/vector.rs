@@ -13,12 +13,12 @@
 //! row-at-a-time [`BoundExpr::eval_ctx`] over a *scratch row*: a
 //! reusable `Vec<Value>` where only the columns the expression actually
 //! references are filled in. The scratch row never materializes the
-//! full input — the chunked operators stay columnar even for complex
+//! full input — the operators stay columnar even for complex
 //! expressions (correlated subqueries, UDFs, CASE).
 //!
 //! Semantics are defined by the row-at-a-time path: every fast path
 //! must produce exactly what `eval_ctx` + [`Value::total_cmp`] would.
-//! `AND`/`OR` mirror the serial executor's short-circuit rule — the
+//! `AND`/`OR` mirror the reference executor's short-circuit rule — the
 //! right side is only evaluated on rows where the left side did not
 //! already decide the outcome — so error propagation matches too.
 
@@ -52,7 +52,7 @@ pub fn eval_pred_mask(
 ) -> SqlResult<Vec<Option<bool>>> {
     match expr {
         BoundExpr::Binary { op, lhs, rhs } if *op == BinOp::And || *op == BinOp::Or => {
-            // Mirror the serial short-circuit: AND skips the right side
+            // Mirror the row path's short-circuit: AND skips the right side
             // where the left is definite false; OR where it is definite
             // true. Rows outside the re-evaluated subset keep the
             // short-circuited result.
@@ -119,6 +119,39 @@ pub fn eval_pred_mask(
                 .map(|i| col.value_at(i).truthiness())
                 .collect())
         }
+    }
+}
+
+/// Row-at-a-time passes [`eval_column`] makes over a batch that can fail
+/// or call user code: 0 for the kernels that can do neither (column
+/// refs, literals, comparisons between them), else the one ordered
+/// scratch-row pass, which stops at the first failing row.
+pub(crate) fn column_passes(expr: &BoundExpr) -> usize {
+    match expr {
+        BoundExpr::ColumnRef(_) | BoundExpr::Literal(_) => 0,
+        BoundExpr::Binary { op, lhs, rhs }
+            if is_cmp(*op) && operand_shape(lhs).is_some() && operand_shape(rhs).is_some() =>
+        {
+            0
+        }
+        _ => 1,
+    }
+}
+
+/// The [`column_passes`] count for [`eval_pred_mask`], which splits
+/// `AND`/`OR` into one pass per side. At most one pass means the mask's
+/// error is the row path's first error, after the same calls.
+pub(crate) fn mask_passes(expr: &BoundExpr) -> usize {
+    match expr {
+        BoundExpr::Binary { op, lhs, rhs } if *op == BinOp::And || *op == BinOp::Or => {
+            mask_passes(lhs) + mask_passes(rhs)
+        }
+        BoundExpr::Unary {
+            op: crate::ast::UnOp::Not,
+            operand,
+        } => mask_passes(operand),
+        BoundExpr::IsNull { expr, .. } if matches!(**expr, BoundExpr::ColumnRef(_)) => 0,
+        _ => column_passes(expr),
     }
 }
 

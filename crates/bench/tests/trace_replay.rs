@@ -6,11 +6,12 @@
 //! statement the 80×5 workload ran (the traced `sql: …` annotations,
 //! which record the text verbatim) must give the same rows, or the same
 //! error text, from the row-at-a-time reference executor as from
-//! `Database::query`.
+//! `Database::query`, at one worker and at eight.
 
 use std::collections::{BTreeSet, HashSet};
 use tag_bench::{Harness, MethodId};
 use tag_sql::exec::reference_query;
+use tag_sql::ExecPolicy;
 use tag_trace::{SpanRecord, Stage, Trace};
 
 /// Direct children must fit inside their parent: each child's wall time
@@ -100,14 +101,25 @@ fn traced_replay(harness: &Harness) -> (usize, BTreeSet<(&'static str, String)>)
     (total_spans, statements)
 }
 
-/// Every statement gives the reference executor's rows or error text.
+/// Every statement gives the reference executor's rows or error text,
+/// at the default policy and at 8 workers over 7-row morsels (forcing
+/// cross-morsel merges: group order, sort seq, lowest-indexed error).
 fn assert_matches_reference(harness: &Harness, statements: &BTreeSet<(&'static str, String)>) {
     let mut failed = 0usize;
+    let parallel = ExecPolicy {
+        workers: 8,
+        morsel_rows: 7,
+    };
     for (domain, sql) in statements {
         let db = &harness.env(domain).db;
         let reference = fold(reference_query(db, sql));
+        let default = db.exec_policy();
         let served = fold(db.query(sql));
+        db.set_exec_policy(parallel);
+        let served_parallel = fold(db.query(sql));
+        db.set_exec_policy(default);
         assert_eq!(served, reference, "{domain}: {sql}");
+        assert_eq!(served_parallel, reference, "{domain} ({parallel:?}): {sql}");
         failed += usize::from(reference.is_err());
     }
     assert!(

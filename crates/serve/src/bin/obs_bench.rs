@@ -135,14 +135,14 @@ fn main() {
             "--threshold" => threshold_pct = val().parse().unwrap_or_else(|_| usage()),
             "--json" => json_path = val(),
             // CI preset: tiny data, every method (400 requests per
-            // arm), one client (several clients on a 2-vCPU runner
-            // measure the scheduler, doubling the per-round spread),
-            // and enough rounds for the paired median to resolve 2%.
+            // arm) from 4 clients, so concurrent statements share each
+            // domain's database the way served traffic does, and
+            // enough rounds for the paired median to resolve 2%.
             "--smoke" => {
                 scale_name = "tiny".to_owned();
                 methods = MethodName::all().to_vec();
-                clients = 1;
-                rounds = 30;
+                clients = 4;
+                rounds = 60;
             }
             _ => usage(),
         }

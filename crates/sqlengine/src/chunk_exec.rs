@@ -40,11 +40,12 @@
 //! - Hash-join build inserts right rows in global row order; probe
 //!   preserves left order per batch.
 //! - Errors: the lowest-indexed failing batch wins. Inside a batch, a
-//!   kernel that made at most one fallible row pass
-//!   ([`crate::vector::column_passes`]) already failed on the first
-//!   failing row, after exactly the calls the reference makes; otherwise
-//!   the kernel replays the batch row-major to raise the error the
-//!   reference would raise first.
+//!   filter, projection, sort-key or join-key kernel that made at most
+//!   one fallible row pass ([`crate::vector::column_passes`]) already
+//!   failed on the first failing row, after exactly the calls the
+//!   reference makes; otherwise the kernel replays the batch row-major
+//!   to raise the error the reference would raise first. A failing
+//!   aggregate replays whole through the reference accumulators.
 
 use crate::ast::JoinKind;
 use crate::catalog::Catalog;
@@ -52,7 +53,7 @@ use crate::chunk::{batches_len, batches_to_rows, concat_batches_chunk, Batch, Ch
 use crate::error::{SqlError, SqlResult};
 use crate::exec::{aggregate_rows, compare_keys, eval_keys, index_leaf, is_identity, AggState};
 use crate::expr::{BoundExpr, EvalCtx};
-use crate::metrics::ExecMetrics;
+use crate::metrics::{ExecMetrics, MorselOp};
 use crate::morsel::{parallel_map, ExecPolicy, NoObserver, PoolObserver};
 use crate::partial::PartialAgg;
 use crate::plan::{AggCall, Plan, SortKey};
@@ -118,7 +119,7 @@ impl<'a> ChunkCtx<'a> {
             .collect()
     }
 
-    fn note(&self, op: &str, batches: &[Batch]) {
+    fn note(&self, op: MorselOp, batches: &[Batch]) {
         if let Some(m) = self.metrics {
             m.record_morsels(op, batches.iter().map(Batch::len));
         }
@@ -144,7 +145,7 @@ impl<'a> ChunkCtx<'a> {
                     .into_iter()
                     .map(|(s, e)| Batch::range(Arc::clone(&chunk), s, e))
                     .collect();
-                self.note("TableScan", &batches);
+                self.note(MorselOp::TableScan, &batches);
                 Ok(batches)
             }
             Plan::IndexProbe { .. } | Plan::IndexRangeScan { .. } => {
@@ -158,8 +159,8 @@ impl<'a> ChunkCtx<'a> {
                     .map(|(s, e)| Batch::select(Arc::clone(&chunk), ids[s..e].to_vec()))
                     .collect();
                 let op = match plan {
-                    Plan::IndexProbe { .. } => "IndexProbe",
-                    _ => "IndexRangeScan",
+                    Plan::IndexProbe { .. } => MorselOp::IndexProbe,
+                    _ => MorselOp::IndexRangeScan,
                 };
                 self.note(op, &batches);
                 Ok(batches)
@@ -175,7 +176,7 @@ impl<'a> ChunkCtx<'a> {
                 } else {
                     vec![Batch::from_rows(plan.width(), &rows)]
                 };
-                self.note("Values", &out);
+                self.note(MorselOp::Values, &out);
                 Ok(out)
             }
             Plan::Filter { input, predicate } => {
@@ -192,13 +193,13 @@ impl<'a> ChunkCtx<'a> {
                     }
                 })?;
                 let out: Vec<Batch> = out.into_iter().filter(|b| !b.is_empty()).collect();
-                self.note("Filter", &out);
+                self.note(MorselOp::Filter, &out);
                 Ok(out)
             }
             Plan::Project { input, exprs, .. } => {
                 let batches = self.exec_node(input)?;
                 if is_identity(exprs, batches.iter().map(Batch::width)) {
-                    self.note("Project", &batches);
+                    self.note(MorselOp::Project, &batches);
                     return Ok(batches);
                 }
                 let ctx = self.eval();
@@ -225,7 +226,7 @@ impl<'a> ChunkCtx<'a> {
                     }
                 })?;
                 let out: Vec<Batch> = out.into_iter().filter(|b| !b.is_empty()).collect();
-                self.note("Project", &out);
+                self.note(MorselOp::Project, &out);
                 Ok(out)
             }
             Plan::Aggregate {
@@ -275,7 +276,7 @@ impl<'a> ChunkCtx<'a> {
                         out.push(b.slice_local(s - bs, e - bs));
                     }
                 }
-                self.note("Limit", &out);
+                self.note(MorselOp::Limit, &out);
                 Ok(out)
             }
             Plan::Distinct { input } => {
@@ -307,7 +308,7 @@ impl<'a> ChunkCtx<'a> {
                         out.push(b.narrow(&survivors));
                     }
                 }
-                self.note("Distinct", &out);
+                self.note(MorselOp::Distinct, &out);
                 Ok(out)
             }
             Plan::Sem { .. } => Err(SqlError::Unsupported(
@@ -382,7 +383,7 @@ impl<'a> ChunkCtx<'a> {
                 .map(|a| AggState::new(a.func).finish(&a.separator))
                 .collect();
             let out = vec![Batch::from_rows(aggs.len(), &[row])];
-            self.note("Aggregate", &out);
+            self.note(MorselOp::Aggregate, &out);
             return Ok(out);
         }
 
@@ -406,7 +407,7 @@ impl<'a> ChunkCtx<'a> {
                 columns.into_iter().map(ColumnData::from_values).collect(),
             ))]
         };
-        self.note("Aggregate", &out);
+        self.note(MorselOp::Aggregate, &out);
         Ok(out)
     }
 
@@ -484,7 +485,7 @@ impl<'a> ChunkCtx<'a> {
             Ok(Some(Batch::owned(Chunk::new(cols))))
         })?;
         let out: Vec<Batch> = out.into_iter().flatten().collect();
-        self.note("HashJoin", &out);
+        self.note(MorselOp::HashJoin, &out);
         Ok(out)
     }
 
@@ -546,7 +547,7 @@ impl<'a> ChunkCtx<'a> {
             Ok(Some(Batch::owned(Chunk::new(cols))))
         })?;
         let out: Vec<Batch> = out.into_iter().flatten().collect();
-        self.note("NestedLoopJoin", &out);
+        self.note(MorselOp::NestedLoopJoin, &out);
         Ok(out)
     }
 
@@ -570,7 +571,7 @@ impl<'a> ChunkCtx<'a> {
                 .then(a.2.cmp(&b.2))
         });
         let out = self.gather_ordered(&batches, &entries, input.width())?;
-        self.note("Sort", &out);
+        self.note(MorselOp::Sort, &out);
         Ok(out)
     }
 
@@ -629,7 +630,7 @@ impl<'a> ChunkCtx<'a> {
         let picked: Vec<(Vec<Value>, u32, u32)> =
             entries.into_iter().skip(offset).take(k).collect();
         let out = self.gather_ordered(&batches, &picked, input.width())?;
-        self.note("TopK", &out);
+        self.note(MorselOp::TopK, &out);
         Ok(out)
     }
 
@@ -765,45 +766,22 @@ fn local_aggregate(
     aggs: &[AggCall],
     ctx: &EvalCtx<'_>,
 ) -> SqlResult<LocalAgg> {
-    let evaluated: SqlResult<(Vec<ColumnData>, Vec<Option<ColumnData>>)> = (|| {
-        let group_cols = group
-            .iter()
-            .map(|g| crate::vector::eval_column(g, batch, ctx))
-            .collect::<SqlResult<Vec<_>>>()?;
-        let arg_cols = aggs
-            .iter()
-            .map(|a| {
-                a.arg
-                    .as_ref()
-                    .map(|e| crate::vector::eval_column(e, batch, ctx))
-                    .transpose()
-            })
-            .collect::<SqlResult<Vec<_>>>()?;
-        Ok((group_cols, arg_cols))
-    })();
-    let (group_cols, arg_cols) = match evaluated {
-        Ok(v) => v,
-        Err(e) => {
-            // Row-major replay (group exprs then agg args per row) for
-            // the exact reference error.
-            let passes = group
-                .iter()
-                .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
-                .map(column_passes)
-                .sum();
-            return Err(first_row_error(batch, e, passes, |row| {
-                for g in group {
-                    g.eval_ctx(row, ctx)?;
-                }
-                for a in aggs {
-                    if let Some(e) = &a.arg {
-                        e.eval_ctx(row, ctx)?;
-                    }
-                }
-                Ok(())
-            }));
-        }
-    };
+    // On an evaluation error the caller replays the whole aggregate
+    // row-wise for the reference error (an accumulator error may come
+    // first in row order).
+    let group_cols = group
+        .iter()
+        .map(|g| crate::vector::eval_column(g, batch, ctx))
+        .collect::<SqlResult<Vec<_>>>()?;
+    let arg_cols = aggs
+        .iter()
+        .map(|a| {
+            a.arg
+                .as_ref()
+                .map(|e| crate::vector::eval_column(e, batch, ctx))
+                .transpose()
+        })
+        .collect::<SqlResult<Vec<_>>>()?;
 
     let mut local = LocalAgg {
         keys: Vec::new(),

@@ -7,7 +7,11 @@
 //! Its accumulators ([`AggState`], [`aggregate_rows`]) and sort-key
 //! helpers ([`compare_keys`], [`eval_keys`]) are shared with the
 //! columnar executor, which replays through them where byte identity
-//! needs the row order.
+//! needs the row order. Subqueries are the exception to "row at a
+//! time": the planner folds uncorrelated ones and expressions run
+//! correlated ones through the columnar executor in both executors, so
+//! the parity tests also compare subquery bodies as top-level
+//! statements.
 //!
 //! # Row ownership
 //!

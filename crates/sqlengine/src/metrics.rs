@@ -20,6 +20,11 @@
 //! - `tag_sqlengine_exec_workers_busy` (pool occupancy gauge, fed by
 //!   the [`PoolObserver`] hooks)
 //!
+//! Every statement records morsels and every morsel task touches the
+//! gauge, so both live in [`OnceLock`]s registered on first use: the
+//! per-statement path takes no lock, and concurrent statements on a
+//! shared database never contend on the sink.
+//!
 //! The operator kind is the first token of the profiler label
 //! ("TableScan schools" → `op="TableScan"`), keeping cardinality at
 //! the operator vocabulary, not the table vocabulary. Plan-cache
@@ -31,7 +36,7 @@ use crate::morsel::PoolObserver;
 use crate::profile::NodeProfile;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 use tag_metrics::{Counter, Gauge, MetricsHub, WindowedHistogram};
 
@@ -47,14 +52,37 @@ struct MorselInstruments {
     chunk_rows: Arc<WindowedHistogram>,
 }
 
+/// The operator kinds the columnar executor reports morsels for; the
+/// variant name is the `op` label, and each kind has one instrument
+/// slot.
+#[allow(missing_docs)] // variants are the plan operators' names
+#[derive(Debug, Clone, Copy)]
+pub enum MorselOp {
+    TableScan,
+    IndexProbe,
+    IndexRangeScan,
+    Values,
+    Filter,
+    Project,
+    Aggregate,
+    HashJoin,
+    NestedLoopJoin,
+    Sort,
+    TopK,
+    Limit,
+    Distinct,
+}
+
+const MORSEL_OPS: usize = MorselOp::Distinct as usize + 1;
+
 /// Hub-backed sink for plan-profiler node records.
 pub struct ExecMetrics {
     active: bool,
     hub: Arc<MetricsHub>,
     ops: Mutex<HashMap<String, OpInstruments>>,
-    morsel_ops: Mutex<HashMap<String, MorselInstruments>>,
+    morsel_ops: [OnceLock<MorselInstruments>; MORSEL_OPS],
     busy: AtomicI64,
-    workers_busy: Mutex<Option<Arc<Gauge>>>,
+    workers_busy: OnceLock<Arc<Gauge>>,
 }
 
 impl std::fmt::Debug for ExecMetrics {
@@ -73,9 +101,9 @@ impl ExecMetrics {
             active: hub.is_enabled(),
             hub,
             ops: Mutex::new(HashMap::new()),
-            morsel_ops: Mutex::new(HashMap::new()),
+            morsel_ops: std::array::from_fn(|_| OnceLock::new()),
             busy: AtomicI64::new(0),
-            workers_busy: Mutex::new(None),
+            workers_busy: OnceLock::new(),
         }
     }
 
@@ -86,48 +114,43 @@ impl ExecMetrics {
     /// latency-bucket layout by encoding **1 row as 1 millisecond**, so
     /// the default 8192-row morsel lands in the 10-second top bucket
     /// and degenerate single-digit batches in the bottom ones.
-    pub fn record_morsels(&self, op: &str, batch_rows: impl IntoIterator<Item = usize>) {
+    pub fn record_morsels(&self, op: MorselOp, batch_rows: impl IntoIterator<Item = usize>) {
         if !self.active {
             return;
         }
-        let mut ops = self.morsel_ops.lock().unwrap_or_else(|e| e.into_inner());
-        if !ops.contains_key(op) {
-            let labels = [("op", op)];
-            let hub = &self.hub;
-            let inst = MorselInstruments {
-                morsels: hub.counter(
+        let inst = self.morsel_ops[op as usize].get_or_init(|| {
+            let op = format!("{op:?}");
+            let labels = [("op", op.as_str())];
+            MorselInstruments {
+                morsels: self.hub.counter(
                     "tag_sqlengine_exec_morsels_total",
                     "Batches produced by chunked operators, by operator kind.",
                     &labels,
                 ),
-                chunk_rows: hub.histogram(
+                chunk_rows: self.hub.histogram(
                     "tag_sqlengine_exec_chunk_rows",
                     "Rows per output batch of chunked operators (encoded 1 row = 1ms).",
                     &labels,
                 ),
-            };
-            ops.insert(op.to_string(), inst);
-        }
-        // Every statement records here: look up without allocating a key.
-        let Some(inst) = ops.get(op) else { return };
+            }
+        });
         for rows in batch_rows {
             inst.morsels.inc();
             inst.chunk_rows.observe(Duration::from_millis(rows as u64));
         }
     }
 
-    fn workers_gauge(&self) -> Option<Arc<Gauge>> {
+    fn workers_gauge(&self) -> Option<&Arc<Gauge>> {
         if !self.active {
             return None;
         }
-        let mut slot = self.workers_busy.lock().unwrap_or_else(|e| e.into_inner());
-        Some(Arc::clone(slot.get_or_insert_with(|| {
+        Some(self.workers_busy.get_or_init(|| {
             self.hub.gauge(
                 "tag_sqlengine_exec_workers_busy",
                 "Morsel-pool workers currently executing a task.",
                 &[],
             )
-        })))
+        }))
     }
 
     /// Fold one profiled query's node records into the hub.
@@ -232,7 +255,7 @@ mod tests {
         let hub = Arc::new(MetricsHub::noop());
         let m = ExecMetrics::new(Arc::clone(&hub));
         m.record(&[node("TableScan schools", 100, 0, 1)]);
-        m.record_morsels("TableScan", [100, 20]);
+        m.record_morsels(MorselOp::TableScan, [100, 20]);
         m.task_started();
         m.task_finished();
         assert_eq!(hub.render(), "");
@@ -243,8 +266,8 @@ mod tests {
     fn morsel_instruments_and_worker_gauge() {
         let hub = Arc::new(MetricsHub::new());
         let m = ExecMetrics::new(Arc::clone(&hub));
-        m.record_morsels("TableScan", [8192, 8192, 100]);
-        m.record_morsels("Filter", [40]);
+        m.record_morsels(MorselOp::TableScan, [8192, 8192, 100]);
+        m.record_morsels(MorselOp::Filter, [40]);
         m.task_started();
         m.task_started();
         m.task_finished();

@@ -88,6 +88,14 @@ fn queries(k: i64, j: i64) -> Vec<String> {
         "SELECT a, (SELECT COUNT(*) FROM t t2 WHERE t2.c = t1.c) FROM t t1".into(),
         "SELECT * FROM t t1 WHERE EXISTS (SELECT 1 FROM t t2 WHERE t2.a = t1.a AND t2.b > t1.b)"
             .into(),
+        // Both executors run subqueries columnar, so each subquery body
+        // above is also compared top-level, with a literal standing in
+        // for the outer column of the correlated ones.
+        "SELECT MAX(b) FROM t".into(),
+        "SELECT AVG(b) FROM t".into(),
+        format!("SELECT a FROM t WHERE b > {k}"),
+        "SELECT COUNT(*) FROM t t2 WHERE t2.c = 'a'".into(),
+        format!("SELECT 1 FROM t t2 WHERE t2.a = {k} AND t2.b > 0.5"),
     ]
 }
 
